@@ -15,6 +15,7 @@ import numpy as np
 from .checkpoint import CheckpointError, read_records, write_records
 from .nn import QNetwork, build_q_network, copy_weights, init_weights
 from .optim import AdamState, adam_step, clip_global_norm, init_adam
+from .preprocess import FRAME_SIDE, STACK_DEPTH
 from .replay import Experience, ReplayBuffer
 
 N_ACTIONS = 4
@@ -116,7 +117,11 @@ def select_action(stack, agent: AgentState, hp: Hyperparams) -> int:
 
 
 def _batch_inputs(stacks, dtype) -> np.ndarray:
-    return np.stack([s.to_input(dtype) for s in stacks])
+    """(n, 84, 84, 4) batch of ``FrameStack.to_input`` values, unpacked in one pass."""
+    packed = b"".join(frame.packed for stack in stacks for frame in stack.frames)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+    bits = bits.reshape(len(stacks), STACK_DEPTH, FRAME_SIDE, FRAME_SIDE)
+    return bits.transpose(0, 2, 3, 1).astype(dtype, order="C")
 
 
 def compute_targets(batch: list[Experience], target_net: QNetwork,

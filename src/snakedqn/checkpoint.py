@@ -14,6 +14,8 @@ Layout (little-endian throughout):
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -42,13 +44,25 @@ def _encode_record(name: str, arr: np.ndarray) -> bytes:
 
 
 def write_records(path, records: dict[str, np.ndarray]) -> None:
-    payload = struct.pack("<I", len(records))
-    for name, arr in records.items():
-        payload += _encode_record(name, np.asarray(arr))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    """Write the records to ``path``, replacing any file there in one step.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over ``path``: a process killed mid-save leaves the previous
+    checkpoint intact. (No fsync, so this does not cover a power loss.)
+    """
+    payload = b"".join([struct.pack("<I", len(records)),
+                        *(_encode_record(name, np.asarray(arr)) for name, arr in records.items())])
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -8,6 +8,12 @@ ceil-division output sizes: ``out = ceil(in / stride)``, with the smaller
 pad half before and the larger half after. Max pooling pads with -inf so
 padded positions never win a window.
 
+A convolution window whose (zero-padded) input is all zeros outputs exactly
+the bias (then ReLU) and adds nothing to the weight gradient, so conv layers
+build im2col rows and multiply only for windows that hold a nonzero value
+(NaN counts as nonzero). Binarized frames are mostly zeros, which makes the
+first layer's GEMM about a tenth of its dense size.
+
 Training dtype is float32; float64 networks are supported for
 finite-difference verification.
 """
@@ -64,6 +70,17 @@ class Layer:
 
 
 class Conv2D(Layer):
+    """Same-padded convolution as a GEMM over the windows that hold a nonzero.
+
+    Forward gathers the im2col rows of the active windows only, multiplies
+    them by the weights and scatters the result; every other output row is
+    exactly ``b`` (then ReLU). Backward takes ``dw`` over the active rows and
+    ``db`` and ``dx`` over all rows. Windows are tested per stride-sized
+    block when ``kernel % stride == 0``; otherwise every window counts as
+    active. Outputs equal the dense layer's up to the order in which BLAS sums
+    each row.
+    """
+
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int, relu: bool = True, dtype=DEFAULT_DTYPE):
         self.in_channels = in_channels
@@ -88,43 +105,72 @@ class Conv2D(Layer):
     def grads(self):
         return [("w", self.dw), ("b", self.db)]
 
-    def _im2col(self, x):
-        n, h, w, c = x.shape
+    def _active_windows(self, xp, oh, ow):
+        """(n, oh, ow) mask of the windows whose padded input holds a nonzero.
+
+        With ``kernel % stride == 0`` the padded input tiles into
+        stride-sized blocks and each window covers ``(kernel / stride)**2`` of
+        them, so the test runs once per block, then ORs neighbouring blocks.
+        Other geometries count every window as active.
+        """
+        n, hp, wp, c = xp.shape
         k, s = self.kernel, self.stride
-        oh, pt, pb = same_pad(h, k, s)
-        ow, pl, pr = same_pad(w, k, s)
-        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-        # (n, oh, ow, c, kh, kw) -> (n, oh, ow, kh, kw, c): (kh, kw, c) runs
-        # match the weight layout, so the flattened copy is cache-friendly.
-        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-        return cols.reshape(n * oh * ow, k * k * c), (oh, ow), (pt, pl), (h + pt + pb, w + pl + pr)
+        if k % s:
+            return np.ones((n, oh, ow), dtype=bool)
+        nz = (xp != 0).view(np.uint8)
+        # OR each block's s rows: an outer axis, so whole rows at a time ...
+        block_rows = np.bitwise_or.reduce(nz.reshape(n, hp // s, s, wp * c), axis=2)
+        # ... then its s * c bytes of columns, read as the widest whole words.
+        lanes = block_rows.reshape(n, hp // s, wp // s, s * c).view(f"u{math.gcd(s * c, 8)}")
+        blocks = np.zeros(lanes.shape[:3], dtype=lanes.dtype)
+        for q in range(lanes.shape[3]):  # a few lanes; numpy reduces short axes slowly
+            blocks |= lanes[..., q]
+        blocks = blocks != 0
+        active = np.zeros((n, oh, ow), dtype=bool)
+        for i in range(k // s):
+            for j in range(k // s):
+                active |= blocks[:, i : i + oh, j : j + ow]
+        return active
 
     def forward(self, x, train):
         n, h, w, c = x.shape
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} channels, got {c}")
-        k = self.kernel
-        cols, (oh, ow), pads, padded = self._im2col(x)
-        wmat = self.w.reshape(k * k * c, self.out_channels)
-        out = (cols @ wmat + self.b).reshape(n, oh, ow, self.out_channels)
+        k, s = self.kernel, self.stride
+        oh, pt, pb = same_pad(h, k, s)
+        ow, pl, pr = same_pad(w, k, s)
+        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        ni, ii, jj = np.nonzero(self._active_windows(xp, oh, ow))
+        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        # (n, oh, ow, c, kh, kw) -> (n, oh, ow, kh, kw, c): (kh, kw, c) runs
+        # match the weight layout, so the gathered rows multiply it directly.
+        cols = win.transpose(0, 1, 2, 4, 5, 3)[ni, ii, jj].reshape(len(ni), k * k * c)
+        del xp, win  # the padded input is dead; free it before the GEMM
+        rows = (ni * oh + ii) * ow + jj
+        prod = cols @ self.w.reshape(k * k * c, self.out_channels)
+        prod += self.b
+        out = np.empty((n * oh * ow, self.out_channels), dtype=prod.dtype)
+        out[...] = self.b
+        out[rows] = prod
+        out = out.reshape(n, oh, ow, self.out_channels)
         if self.relu:
             mask = out > 0
-            out = np.maximum(out, 0)
+            np.maximum(out, 0, out=out)
         else:
             mask = None
         if train:
-            self._cache = (cols, mask, (n, h, w, c), (oh, ow), pads, padded)
+            self._cache = (cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl),
+                           (h + pt + pb, w + pl + pr))
         return out
 
     def backward(self, dout, need_dx: bool = True):
-        cols, mask, (n, h, w, c), (oh, ow), (pt, pl), (hp, wp) = self._take_cache()
+        cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl), (hp, wp) = self._take_cache()
         k, s = self.kernel, self.stride
         if mask is not None:
             dout = dout * mask
         dmat = dout.reshape(n * oh * ow, self.out_channels)
         wmat = self.w.reshape(k * k * c, self.out_channels)
-        self.dw = (cols.T @ dmat).reshape(self.w.shape)
+        self.dw = (cols.T @ dmat[rows]).reshape(self.w.shape)
         self.db = dmat.sum(axis=0)
         if not need_dx:
             return None

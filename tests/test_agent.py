@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snakedqn import nn
 from snakedqn.agent import (
     Hyperparams,
+    _batch_inputs,
     compute_targets,
     epsilon_at,
     greedy_action,
@@ -109,11 +110,16 @@ class TestActionSelection:
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=4),
            st.floats(0.1, 50.0), st.floats(-20, 20))
     def test_argmax_affine_invariant(self, q, a, b):
+        # Q-values are float32, where a * q + b can round two entries of q
+        # into a tie that argmax breaks by index. Rounding is monotone, so
+        # the argmax is invariant whenever the scaled row's maximum is unique.
+        q32 = np.asarray(q, dtype=np.float32)
+        scaled32 = np.float32(a) * q32 + np.float32(b)
+        assume(np.count_nonzero(scaled32 == scaled32.max()) == 1)
         rng = np.random.default_rng(0)
         stack = make_stack()
-        base = greedy_action(stack, FixedNet(q), rng, epsilon=0.0)
-        scaled = greedy_action(stack, FixedNet([a * v + b for v in q]), rng,
-                               epsilon=0.0)
+        base = greedy_action(stack, FixedNet(q32), rng, epsilon=0.0)
+        scaled = greedy_action(stack, FixedNet(scaled32), rng, epsilon=0.0)
         assert base == scaled
 
     def test_select_action_uses_schedule(self):
@@ -122,6 +128,20 @@ class TestActionSelection:
         agent.frame_count = 0  # still in pure-random phase
         actions = {select_action(make_stack(i), agent, hp) for i in range(20)}
         assert actions <= {0, 1, 2, 3}
+
+
+class TestBatchInputs:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_stacked_to_input(self, dtype):
+        rng = np.random.default_rng(4)
+        frames = [BinaryFrame.from_array(rng.random((84, 84)) < p)
+                  for p in (0.0, 0.03, 0.5, 1.0, 0.1)]
+        stacks = [FrameStack(tuple(frames[(i + j) % 5] for j in range(4)))
+                  for i in range(7)]
+        got = _batch_inputs(stacks, dtype)
+        want = np.stack([s.to_input(dtype) for s in stacks])
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 class TestComputeTargets:

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+import struct
+import zlib
+
+from snakedqn import checkpoint
 from snakedqn.agent import Hyperparams, load_agent, new_agent, save_agent
 from snakedqn.checkpoint import (
     MAGIC,
@@ -10,6 +14,36 @@ from snakedqn.checkpoint import (
     read_records,
     write_records,
 )
+
+
+def reference_bytes(records):
+    """The container bytes as the format defines them, built record by record."""
+    payload = struct.pack("<I", len(records))
+    for name, arr in records.items():
+        payload += checkpoint._encode_record(name, np.asarray(arr))
+    return MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+class FailingWrites:
+    """``open`` stand-in whose files raise on the second write, as a full disk would."""
+
+    def __init__(self):
+        self.paths = []
+
+    def __call__(self, path, mode="r"):
+        self.paths.append(path)
+        fh = open(path, mode)
+        real_write, calls = fh.write, []
+
+        def write(data):
+            calls.append(data)
+            if len(calls) == 2:
+                real_write(data[: len(data) // 2])
+                raise OSError("No space left on device")
+            return real_write(data)
+
+        fh.write = write
+        return fh
 
 
 class TestRecordContainer:
@@ -55,6 +89,34 @@ class TestRecordContainer:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
             read_records(path)
+
+    def test_bytes_match_reference_layout(self, tmp_path):
+        agent = new_agent(Hyperparams(), seed=3)
+        records = {f"online/{k}": v for k, v in agent.online.state_arrays().items()}
+        records["frame_count"] = np.int64(7)
+        path = tmp_path / "c.bin"
+        write_records(path, records)
+        assert path.read_bytes() == reference_bytes(records)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        old = {"x": np.arange(10, dtype=np.float32)}
+        write_records(path, old)
+        failing = FailingWrites()
+        monkeypatch.setattr(checkpoint, "open", failing, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_records(path, {"x": np.ones(10, dtype=np.float32)})
+        monkeypatch.undo()
+        assert failing.paths and all(p != str(path) for p in failing.paths)
+        assert np.array_equal(read_records(path)["x"], old["x"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
+
+    def test_overwrite_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "c.bin"
+        for value in (1.0, 2.0):
+            write_records(path, {"x": np.full(3, value)})
+        assert read_records(path)["x"].tolist() == [2.0, 2.0, 2.0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
