@@ -1,5 +1,5 @@
-"""Memory-efficient DQN for Snake: binarized 84x84 frames, compact FIFO replay,
-and a from-scratch numpy CNN trained with Adam."""
+"""Memory-efficient DQN for Snake: binarized 84x84 frames, a FIFO replay that
+stores each frame once, deflated, and a from-scratch numpy CNN trained with Adam."""
 
 from .agent import AgentState, Hyperparams, epsilon_at, load_agent, new_agent, save_agent
 from .env import Direction, EnvState, GridConfig, StepEvent, StepOutcome, reset, step

@@ -15,8 +15,7 @@ import numpy as np
 from .checkpoint import CheckpointError, read_records, write_records
 from .nn import QNetwork, build_q_network, copy_weights, init_weights
 from .optim import AdamState, adam_step, clip_global_norm, init_adam
-from .preprocess import FRAME_SIDE, STACK_DEPTH
-from .replay import Experience, ReplayBuffer
+from .replay import Batch, ReplayBuffer
 
 N_ACTIONS = 4
 
@@ -116,43 +115,28 @@ def select_action(stack, agent: AgentState, hp: Hyperparams) -> int:
                          agent.online.n_outputs)
 
 
-def _batch_inputs(stacks, dtype) -> np.ndarray:
-    """(n, 84, 84, 4) batch of ``FrameStack.to_input`` values, unpacked in one pass."""
-    packed = b"".join(frame.packed for stack in stacks for frame in stack.frames)
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
-    bits = bits.reshape(len(stacks), STACK_DEPTH, FRAME_SIDE, FRAME_SIDE)
-    return bits.transpose(0, 2, 3, 1).astype(dtype, order="C")
-
-
-def compute_targets(batch: list[Experience], target_net: QNetwork,
-                    gamma: float) -> np.ndarray:
+def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """Bellman targets: y = r, or r + gamma * max_a' Q'(s', a') when non-terminal."""
-    rewards = np.array([e.reward for e in batch], dtype=np.float64)
-    terminal = np.array([e.terminal for e in batch])
-    y = rewards.copy()
-    live = ~terminal
+    y = batch.rewards.astype(np.float64)
+    live = ~batch.terminal
     if live.any():
-        nxt = _batch_inputs([e.next_state for e in batch if not e.terminal],
-                            target_net.dtype)
-        q_next = target_net.forward(nxt, train=False)
+        q_next = target_net.forward(batch.next_states.astype(target_net.dtype), train=False)
         y[live] += gamma * q_next.max(axis=1).astype(np.float64)
     return y
 
 
-def td_loss_and_gradient(batch: list[Experience], targets: np.ndarray,
+def td_loss_and_gradient(batch: Batch, targets: np.ndarray,
                          online: QNetwork) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared TD error; gradient flows only through taken actions."""
-    if len(batch) != len(targets):
+    n = len(batch.actions)
+    if n != len(targets):
         raise ValueError("batch and targets must have equal length")
-    n = len(batch)
-    actions = np.array([e.action for e in batch])
-    x = _batch_inputs([e.state for e in batch], online.dtype)
-    q = online.forward(x, train=True)
-    taken = q[np.arange(n), actions]
+    q = online.forward(batch.states.astype(online.dtype), train=True)
+    taken = q[np.arange(n), batch.actions]
     diff = np.asarray(targets, dtype=np.float64) - taken.astype(np.float64)
     loss = float(np.mean(diff**2))
     dq = np.zeros_like(q)
-    dq[np.arange(n), actions] = (-2.0 * diff / n).astype(q.dtype)
+    dq[np.arange(n), batch.actions] = (-2.0 * diff / n).astype(q.dtype)
     grads = online.backward(dq)
     return loss, grads
 

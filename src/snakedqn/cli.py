@@ -37,7 +37,6 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--config", required=True, help="key = value config file")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--episodes", type=int, default=None)
-    p_train.add_argument("--deterministic", action="store_true", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
@@ -61,8 +60,6 @@ def _cmd_train(args) -> int:
         overrides["seed"] = args.seed
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
-    if args.deterministic is not None:
-        overrides["deterministic"] = args.deterministic
     if overrides:
         config = dataclasses.replace(config, **overrides)
     metrics = train(config)

@@ -49,8 +49,6 @@ class TrainConfig:
     metrics_path: str = "metrics.csv"
     checkpoint_path: str = "checkpoint.bin"
     checkpoint_every: int = 1_000
-    deterministic: bool = True
-    eval_epsilon: float = 0.0
     max_frames: int | None = None  # optional global frame cap, mainly for tests
     resume_from: str | None = None
 
@@ -97,9 +95,8 @@ def observe(state: game.EnvState):
 
 
 def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
-                hp: Hyperparams, frame_budget: int | None = None,
-                collect_events: bool = False):
-    """Play one episode with learning; returns (summary dict, events or None).
+                hp: Hyperparams, frame_budget: int | None = None) -> dict:
+    """Play one episode with learning; returns its summary dict.
 
     ``frame_budget`` caps how many frames this episode may consume; hitting
     the cap abandons the episode mid-flight (summary is marked incomplete).
@@ -109,11 +106,10 @@ def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
     discounted = 0.0
     gamma_t = 1.0
     losses: list[float] = []
-    events: list[tuple[game.StepEvent, float]] | None = [] if collect_events else None
     used = 0
     while not state.done:
         if frame_budget is not None and used >= frame_budget:
-            return {"complete": False, "frames_used": used, "state": state}, events
+            return {"complete": False, "frames_used": used, "state": state}
         action = select_action(stack, agent, hp)
         state, outcome = game.step(state, game.ACTIONS[action])
         agent.frame_count += 1
@@ -129,8 +125,6 @@ def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
         cumulative += outcome.reward
         discounted += gamma_t * outcome.reward
         gamma_t *= hp.gamma
-        if events is not None:
-            events.append((outcome.event, outcome.reward))
     summary = {
         "complete": True,
         "frames_used": used,
@@ -141,7 +135,7 @@ def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
         "steps": state.steps,
         "mean_loss": float(np.mean(losses)) if losses else math.nan,
     }
-    return summary, events
+    return summary
 
 
 def train(config: TrainConfig) -> list[EpisodeMetrics]:
@@ -170,7 +164,7 @@ def train(config: TrainConfig) -> list[EpisodeMetrics]:
             budget = None
             if config.max_frames is not None:
                 budget = config.max_frames - agent.frame_count
-            summary, _ = run_episode(state, agent, buffer, hp, frame_budget=budget)
+            summary = run_episode(state, agent, buffer, hp, frame_budget=budget)
             if not summary["complete"]:
                 break
             row = EpisodeMetrics(
@@ -229,14 +223,6 @@ def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
     return EvalResult(scores=scores, mean=float(np.mean(scores)), best=max(scores))
 
 
-def random_policy_mean(episodes: int = 1_000, seed: int = 0,
-                       grid: game.GridConfig | None = None,
-                       hp: Hyperparams | None = None) -> float:
-    """Measured mean score of the uniform-random policy (the learning floor)."""
-    return evaluate(None, episodes=episodes, epsilon=1.0, seed=seed,
-                    hp=hp, grid=grid).mean
-
-
 def _trunc(value: float, decimals: int) -> str:
     scale = 10**decimals
     return f"{math.floor(value * scale) / scale:.{decimals}f}"
@@ -293,9 +279,7 @@ _INT_KEYS = {
     "replay_capacity", "update_every", "target_sync_every",
     "episodes", "seed", "checkpoint_every", "max_frames",
 }
-_FLOAT_KEYS = {"gamma", "eps_initial", "eps_final", "learning_rate",
-               "clip_norm", "eval_epsilon"}
-_BOOL_KEYS = {"deterministic"}
+_FLOAT_KEYS = {"gamma", "eps_initial", "eps_final", "learning_rate", "clip_norm"}
 _STR_KEYS = {"metrics_path", "checkpoint_path", "resume_from"}
 
 
@@ -316,10 +300,6 @@ def parse_config_file(path) -> TrainConfig:
                     parsed = int(value)
                 elif key in _FLOAT_KEYS:
                     parsed = float(value)
-                elif key in _BOOL_KEYS:
-                    if value.lower() not in {"true", "false", "1", "0", "yes", "no"}:
-                        raise ValueError(f"bad boolean {value!r}")
-                    parsed = value.lower() in {"true", "1", "yes"}
                 elif key in _STR_KEYS:
                     parsed = value
                 else:

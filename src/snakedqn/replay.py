@@ -1,20 +1,38 @@
-"""Fixed-capacity FIFO experience replay with uniform sampling.
+"""Fixed-capacity FIFO experience replay over a ring of deflated frames.
 
-Frames inside the stored stacks stay bit-packed, and consecutive stacks
-share frame objects, so the live footprint of a full 50,000-entry buffer
-is far below the byte-per-pixel accounting figure reported by
-:func:`memory_report`.
+Consecutive experiences of an episode share three of their four state frames,
+and an experience's next state is the following experience's state. So the
+ring stores one frame per experience, bit-packed into 882 bytes and deflated
+with zlib, which shrinks a sparse Snake frame to a few dozen bytes. Each
+slot adds its action, reward and terminal flag, and ``back``, how many
+earlier frames of its episode a stack may use. Clamping the look-back to
+``back`` reproduces the episode-start stack, whose first frame repeats four
+times.
+
+``sample`` assembles channels-last batch arrays straight from the ring. The
+ring packs its frames bit-planar: byte ``b`` holds pixels ``b``,
+``b + 882``, ..., ``b + 7 * 882``. Then the four channels' byte ``b``, read
+as one 32-bit word and shifted by each bit position, gives eight pixels'
+four channel bytes at once, written in pixel order.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import FrameStack, PixelFormat, frame_bytes
+from .preprocess import (FRAME_SIDE, PACKED_BYTES, STACK_DEPTH, FrameStack, PixelFormat,
+                         frame_bytes)
 
 FRAMES_PER_EXPERIENCE = 8  # 4 state frames + 4 next-state frames
+
+# A sampled row decodes its state's frames plus its next frame.
+_WINDOW = STACK_DEPTH + 1
+# Shift that brings bit plane k (MSB first) of every byte to bit 0.
+_PLANE_SHIFTS = np.arange(7, -1, -1, dtype=np.uint32)[:, None]
+_LOW_BITS = np.uint32(0x01010101)
 
 
 @dataclass(frozen=True)
@@ -26,46 +44,130 @@ class Experience:
     terminal: bool
 
 
+@dataclass(frozen=True)
+class Batch:
+    """Sampled experiences as arrays, in draw order.
+
+    ``states`` and ``next_states`` are uint8 0/1 stacks of shape
+    ``(rows, 84, 84, 4)``, frames channels-last, oldest first.
+    ``next_states`` holds the non-terminal rows only, in batch order.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    terminal: np.ndarray
+    next_states: np.ndarray
+
+
 class ReplayBuffer:
-    """Ring buffer: oldest entry is overwritten first once full."""
+    """Ring buffer: oldest entry is overwritten first once full.
+
+    Experience ``g`` (counting pushes) keeps its state's newest frame at row
+    ``g % (capacity + 4)`` and its next frame in the row after. A terminal
+    transition's next frame is never read, so the next episode's first frame
+    takes its row. The extra four rows hold the oldest live experience's
+    three look-back frames and the newest one's next frame.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: list = []
-        self._write = 0
+        self._frames: list = [None] * (capacity + STACK_DEPTH)
+        self._action = np.zeros(capacity, dtype=np.uint8)
+        self._reward = np.zeros(capacity, dtype=np.float64)
+        self._terminal = np.zeros(capacity, dtype=bool)
+        self._back = np.zeros(capacity, dtype=np.uint8)
+        self._pushes = 0
+        self._tail = None  # the last push's next_state while its episode runs on
+        self._tail_back = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return min(self._pushes, self.capacity)
 
     def push(self, exp) -> None:
-        if len(self._entries) < self.capacity:
-            self._entries.append(exp)
+        """Store one transition of the training loop's episode-ordered stream.
+
+        An episode continues when ``exp.state`` is the previous push's
+        ``next_state``. Any other state starts an episode, which must be an
+        initial stack (four equal frames) pushed first or after a terminal
+        transition; the ring could not reproduce anything else.
+        """
+        state, nxt = exp.state.frames, exp.next_state.frames
+        if nxt[:-1] != state[1:]:
+            raise ValueError("next_state must be state shifted by one new frame")
+        g = self._pushes
+        rows = len(self._frames)
+        if exp.state is self._tail:
+            back = self._tail_back
+        elif self._tail is not None:
+            raise ValueError("an episode may start only after a terminal transition")
+        elif state.count(state[0]) != STACK_DEPTH:
+            raise ValueError("an episode must start from four equal frames")
         else:
-            self._entries[self._write] = exp
-        self._write = (self._write + 1) % self.capacity
+            back = 0
+            self._frames[g % rows] = _deflate(state[0])
+        self._frames[(g + 1) % rows] = _deflate(nxt[-1])
+        slot = g % self.capacity
+        self._action[slot] = exp.action
+        self._reward[slot] = exp.reward
+        self._terminal[slot] = exp.terminal
+        self._back[slot] = back
+        self._pushes = g + 1
+        self._tail = None if exp.terminal else exp.next_state
+        self._tail_back = min(back + 1, STACK_DEPTH - 1)
 
-    def snapshot(self) -> list:
-        """Entries in insertion order, oldest first."""
-        if len(self._entries) < self.capacity:
-            return list(self._entries)
-        return self._entries[self._write :] + self._entries[: self._write]
-
-    def sample(self, batch: int, rng: np.random.Generator) -> list:
+    def sample(self, batch: int, rng: np.random.Generator) -> Batch:
         """Uniform sample of ``batch`` distinct entries."""
-        if len(self._entries) < batch:
-            raise ValueError(f"buffer holds {len(self._entries)} < batch {batch}")
-        idx = rng.choice(len(self._entries), size=batch, replace=False)
-        return [self._entries[i] for i in idx]
+        if len(self) < batch:
+            raise ValueError(f"buffer holds {len(self)} < batch {batch}")
+        slots = rng.choice(len(self), size=batch, replace=False)
+        cap = self.capacity
+        g = slots + cap * ((self._pushes - 1 - slots) // cap)
+        # Window position t holds the frame t - 3 steps from the state's
+        # newest, never reaching back before the episode's first frame.
+        offsets = np.arange(_WINDOW) - (STACK_DEPTH - 1)
+        back = self._back[slots].astype(np.int64)
+        rows = (g[:, None] + np.maximum(offsets, -back[:, None])) % len(self._frames)
+        frames = self._frames
+        packed = b"".join([zlib.decompress(frames[r]) for r in rows.ravel().tolist()])
+        window = np.frombuffer(packed, dtype=np.uint8).reshape(batch, _WINDOW, PACKED_BYTES)
+        terminal = self._terminal[slots]
+        return Batch(
+            states=_unpack(window[:, :STACK_DEPTH]),
+            actions=self._action[slots],
+            rewards=self._reward[slots],
+            terminal=terminal,
+            next_states=_unpack(window[~terminal, 1:]),
+        )
 
-    def live_bytes(self) -> int:
-        """Packed frame bytes, counting every stack slot (no sharing credit)."""
-        total = 0
-        for exp in self._entries:
-            total += sum(f.nbytes for f in exp.state.frames)
-            total += sum(f.nbytes for f in exp.next_state.frames)
-        return total
+    @property
+    def nbytes(self) -> int:
+        """Bytes the ring holds: deflated frames plus the per-slot columns."""
+        frames = sum(len(f) for f in self._frames if f is not None)
+        columns = (self._action.nbytes + self._reward.nbytes
+                   + self._terminal.nbytes + self._back.nbytes)
+        return frames + columns
+
+
+def _deflate(frame) -> bytes:
+    """The ring's row for ``frame``: its bits packed bit-planar, then deflated."""
+    planes = frame.to_array().reshape(8, PACKED_BYTES)
+    return zlib.compress(np.packbits(planes.T).tobytes())
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """``(n, 4, 882)`` bit-planar frames -> ``(n, 84, 84, 4)`` uint8 bits, channels-last."""
+    n = len(packed)
+    channels = packed.astype(np.uint32)
+    words = (channels[:, 0] | channels[:, 1] << 8
+             | channels[:, 2] << 16 | channels[:, 3] << 24)
+    bits = words[:, None, :] >> _PLANE_SHIFTS
+    bits &= _LOW_BITS
+    # Byte c of each word is channel c: little-endian order puts it at offset c.
+    bits = bits.astype("<u4", copy=False).view(np.uint8)
+    return bits.reshape(n, FRAME_SIDE, FRAME_SIDE, STACK_DEPTH)
 
 
 def memory_report(

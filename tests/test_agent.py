@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from snakedqn import nn
 from snakedqn.agent import (
     Hyperparams,
-    _batch_inputs,
     compute_targets,
     epsilon_at,
     greedy_action,
@@ -21,6 +20,8 @@ from snakedqn.agent import (
 from snakedqn.nn import Dense, Flatten, QNetwork
 from snakedqn.preprocess import BinaryFrame, FrameStack
 from snakedqn.replay import Experience, ReplayBuffer
+
+from replay_oracle import _batch_inputs, episodes, oracle_batch
 
 HP = Hyperparams()
 
@@ -146,25 +147,26 @@ class TestBatchInputs:
 
 class TestComputeTargets:
     def test_terminal_drops_bootstrap(self):
-        batch = [make_experience(reward=1.0, terminal=True),
-                 make_experience(reward=-1.0, terminal=True)]
+        batch = oracle_batch([make_experience(reward=1.0, terminal=True),
+                              make_experience(reward=-1.0, terminal=True)])
         y = compute_targets(batch, None, gamma=0.99)
         assert y.tolist() == [1.0, -1.0]
 
     def test_bellman_value(self):
-        batch = [make_experience(reward=-0.1, terminal=False)]
+        batch = oracle_batch([make_experience(reward=-0.1, terminal=False)])
         y = compute_targets(batch, FixedNet([2.0, 0.5, -1.0, 0.0]), gamma=0.99)
         assert np.isclose(y[0], -0.1 + 0.99 * 2.0)
         assert np.isclose(y[0], 1.88)
 
     def test_gamma_zero_returns_rewards(self):
-        batch = [make_experience(reward=r, terminal=False) for r in (1.0, -0.1, -1.0)]
+        batch = oracle_batch([make_experience(reward=r, terminal=False)
+                              for r in (1.0, -0.1, -1.0)])
         y = compute_targets(batch, FixedNet([5.0, 5.0, 5.0, 5.0]), gamma=1e-12)
         assert np.allclose(y, [1.0, -0.1, -1.0], atol=1e-9)
 
     def test_mixed_batch(self):
-        batch = [make_experience(reward=-0.1, terminal=False, seed=1),
-                 make_experience(reward=-1.0, terminal=True, seed=2)]
+        batch = oracle_batch([make_experience(reward=-0.1, terminal=False, seed=1),
+                              make_experience(reward=-1.0, terminal=True, seed=2)])
         y = compute_targets(batch, FixedNet([0.0, 3.0, 0.0, 0.0]), gamma=0.5)
         assert np.allclose(y, [-0.1 + 1.5, -1.0])
 
@@ -172,15 +174,16 @@ class TestComputeTargets:
 class TestTdLoss:
     def test_zero_error_zero_gradients(self):
         net = linear_head_net()
-        batch = [make_experience(action=2, seed=3)]
-        q = net.forward(batch[0].state.to_input()[None])[0]
+        exp = make_experience(action=2, seed=3)
+        batch = oracle_batch([exp])
+        q = net.forward(exp.state.to_input()[None])[0]
         loss, grads = td_loss_and_gradient(batch, np.array([q[2]]), net)
         assert loss == 0.0
         assert all(not g.any() for g in grads.values())
 
     def test_single_sample_upstream(self):
         net = linear_head_net()  # zero weights: Q == 0 everywhere
-        batch = [make_experience(action=1)]
+        batch = oracle_batch([make_experience(action=1)])
         loss, grads = td_loss_and_gradient(batch, np.array([1.0]), net)
         assert loss == 1.0
         # d(loss)/d(bias) equals the upstream on the Q outputs
@@ -188,15 +191,15 @@ class TestTdLoss:
 
     def test_batch_mean(self):
         net = linear_head_net()
-        batch = [make_experience(action=0, seed=1),
-                 make_experience(action=3, seed=2)]
+        batch = oracle_batch([make_experience(action=0, seed=1),
+                              make_experience(action=3, seed=2)])
         loss, grads = td_loss_and_gradient(batch, np.array([1.0, 3.0]), net)
         assert loss == pytest.approx(5.0)
         assert np.allclose(grads["dense1.b"], [-1.0, 0.0, 0.0, -3.0])
 
     def test_gradient_only_through_taken_action(self):
         net = linear_head_net()
-        batch = [make_experience(action=2)]
+        batch = oracle_batch([make_experience(action=2)])
         _, grads = td_loss_and_gradient(batch, np.array([0.5]), net)
         db = grads["dense1.b"]
         assert db[2] != 0.0
@@ -205,14 +208,14 @@ class TestTdLoss:
     def test_length_mismatch(self):
         net = linear_head_net()
         with pytest.raises(ValueError):
-            td_loss_and_gradient([make_experience()], np.array([1.0, 2.0]), net)
+            td_loss_and_gradient(oracle_batch([make_experience()]), np.array([1.0, 2.0]), net)
 
 
 class TestLearnSchedule:
     def _filled_buffer(self, n=32):
         buf = ReplayBuffer(64)
-        for i in range(n):
-            buf.push(make_experience(action=i % 4, seed=i))
+        for exp in episodes([8] * -(-n // 8))[:n]:
+            buf.push(exp)
         return buf
 
     def test_noop_during_warmup(self):
