@@ -14,7 +14,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, read_records, write_records
 from .nn import QNetwork, build_q_network, copy_weights, init_weights
-from .optim import AdamState, adam_step, clip_global_norm, init_adam
+from .optim import AdamState, adam_step, clip_global_norm, init_adam, zero_moments
 from .replay import Batch, ReplayBuffer
 
 N_ACTIONS = 4
@@ -81,7 +81,7 @@ def new_agent(hp: Hyperparams, seed, n_actions: int = N_ACTIONS,
     return AgentState(
         online=online,
         target=target,
-        adam=init_adam(online.params()),
+        adam=init_adam(),
         frame_count=0,
         rng=np.random.Generator(np.random.PCG64(act_ss)),
     )
@@ -164,16 +164,21 @@ def maybe_sync_target(agent: AgentState, hp: Hyperparams) -> None:
 
 
 def save_agent(path, agent: AgentState, hp: Hyperparams) -> None:
-    """Write networks, Adam moments, and schedule counters to one file."""
+    """Write networks, Adam moments, and schedule counters to one file.
+
+    An optimizer that has not stepped yet holds no moments; its records are
+    written as the zeros it would start from, so the file layout is the same.
+    """
     records: dict[str, np.ndarray] = {}
     records["meta/n_actions"] = np.int64(agent.online.n_outputs)
     for name, arr in agent.online.state_arrays().items():
         records[f"online/{name}"] = arr
     for name, arr in agent.target.state_arrays().items():
         records[f"target/{name}"] = arr
-    for name, arr in agent.adam.m.items():
+    zeros = None if agent.adam.m else zero_moments(agent.online.params())
+    for name, arr in (agent.adam.m or zeros).items():
         records[f"adam/m/{name}"] = arr
-    for name, arr in agent.adam.v.items():
+    for name, arr in (agent.adam.v or zeros).items():
         records[f"adam/v/{name}"] = arr
     records["adam/t"] = np.int64(agent.adam.t)
     records["frame_count"] = np.int64(agent.frame_count)
@@ -206,6 +211,8 @@ def load_agent(path, hp: Hyperparams,
 
     fill("online/", agent.online.state_arrays())
     fill("target/", agent.target.state_arrays())
+    params = agent.online.params()
+    agent.adam.m, agent.adam.v = zero_moments(params), zero_moments(params)
     fill("adam/m/", agent.adam.m)
     fill("adam/v/", agent.adam.v)
     agent.adam.t = int(records.get("adam/t", np.int64(0)))

@@ -13,19 +13,28 @@ ADAM_EPSILON = 1e-7
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Step count and moments; the moments stay empty until the first step."""
+
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPSILON
 
 
-def init_adam(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+def init_adam() -> AdamState:
+    """Adam at step 0, holding no moments yet.
+
+    The first :func:`adam_step` allocates them, so a run that never updates
+    (replay warm-up) holds no optimizer arrays.
+    """
+    return AdamState()
+
+
+def zero_moments(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One zero array per parameter: the moments of an optimizer at step 0."""
+    return {k: np.zeros_like(p) for k, p in params.items()}
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -49,6 +58,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> dic
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float = 0.0025) -> None:
     """One Adam update, in place on ``params``."""
+    if not state.m:
+        state.m, state.v = zero_moments(params), zero_moments(params)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t

@@ -1,4 +1,16 @@
-"""Frame preprocessing: RGB -> grayscale -> 84x84 -> single-bit pixels.
+"""Frame preprocessing: RGB -> 84x84 single-bit pixels -> frame stacks.
+
+:func:`binary_observation` maps a rendered ``(84f, 84f, 3)`` uint8 frame to
+bits in one exact integer pass. A bit is set iff the mean BT.601 luma of
+its ``f x f`` block, ``(299 R + 587 G + 114 B) / 1000``, is strictly above
+127.5, that is iff the block's integer luma sum exceeds ``127500 f^2``. The
+kernel sums each block's ``f`` rows in uint16, then takes one float32
+product with the weights tiled ``f`` times. For ``f <= 8`` every partial
+sum is an integer below ``255000 f^2 < 2^24``, so float32 holds it exactly
+whatever order BLAS adds in; larger factors accumulate in float64. The
+float64 grayscale -> block mean -> threshold chain this replaced lives on
+in ``tests/preprocess_oracle.py`` as the test oracle, next to an int64
+oracle of the definition above.
 
 The live representation of a processed frame is bit-packed (882 bytes for
 84x84). Byte-per-pixel sizes are kept around as an accounting mode so the
@@ -18,6 +30,7 @@ FRAME_PIXELS = FRAME_SIDE * FRAME_SIDE
 PACKED_BYTES = FRAME_PIXELS // 8
 STACK_DEPTH = 4
 BINARIZE_THRESHOLD = 127.5
+LUMA_WEIGHTS = (299, 587, 114)  # BT.601, in thousandths
 
 
 class PixelFormat(enum.Enum):
@@ -42,27 +55,6 @@ def frame_bytes(fmt: PixelFormat) -> int:
 
 def frame_kb(fmt: PixelFormat) -> float:
     return frame_bytes(fmt) / 1024
-
-
-def to_grayscale(frame: np.ndarray) -> np.ndarray:
-    """BT.601 luma, computed with integer weights so pure colors are exact.
-
-    Input is (H, W, 3) with 8-bit channels; output is float64 in [0, 255].
-    """
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) RGB frame, got {frame.shape}")
-    rgb = frame.astype(np.float64)
-    gray = (299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2]) / 1000
-    return gray
-
-
-def downscale(gray: np.ndarray, factor: int = 3) -> np.ndarray:
-    """Exact block-mean downscale; input must tile evenly by ``factor``."""
-    h, w = gray.shape
-    if h % factor or w % factor:
-        raise ValueError(f"{gray.shape} does not tile by {factor}")
-    oh, ow = h // factor, w // factor
-    return gray.reshape(oh, factor, ow, factor).mean(axis=(1, 3))
 
 
 class BinaryFrame:
@@ -100,16 +92,28 @@ class BinaryFrame:
         return hash(self._packed)
 
 
-def binarize(gray: np.ndarray, threshold: float = BINARIZE_THRESHOLD) -> BinaryFrame:
-    """Threshold to bits: 1 iff strictly above ``threshold``."""
-    return BinaryFrame.from_array(gray > threshold)
-
-
 def binary_observation(rgb_frame: np.ndarray) -> BinaryFrame:
-    """The full pipeline from a rendered RGB frame to a packed binary frame."""
-    gray = to_grayscale(rgb_frame)
-    factor = gray.shape[0] // FRAME_SIDE
-    return binarize(downscale(gray, factor))
+    """The full pipeline from a rendered uint8 RGB frame to a packed binary frame.
+
+    The frame must be square and tile to 84x84 (side ``84 f``); see the
+    module docstring for the exact definition of a set bit.
+    """
+    if rgb_frame.ndim != 3 or rgb_frame.shape[2] != 3:
+        raise ValueError(f"expected (H, W, 3) RGB frame, got {rgb_frame.shape}")
+    if rgb_frame.dtype != np.uint8:
+        raise ValueError(f"expected uint8 RGB, got {rgb_frame.dtype}")
+    side, width, _ = rgb_frame.shape
+    if side != width or side < FRAME_SIDE or side % FRAME_SIDE:
+        raise ValueError(f"a {side}x{width} frame does not tile to "
+                         f"{FRAME_SIDE}x{FRAME_SIDE}")
+    f = side // FRAME_SIDE
+    # float32 is exact while every partial sum, at most 255000 f^2, is below 2^24.
+    exact32 = 1000 * 255 * f * f < 2**24
+    rows = rgb_frame.reshape(FRAME_SIDE, f, width * 3).sum(
+        axis=1, dtype=np.uint16 if exact32 else np.float64)
+    weights = np.tile(LUMA_WEIGHTS, f).astype(np.float32 if exact32 else np.float64)
+    luma = rows.reshape(FRAME_PIXELS, 3 * f) @ weights
+    return BinaryFrame(np.packbits(luma > 1000 * BINARIZE_THRESHOLD * f * f).tobytes())
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 import struct
 import zlib
 
-from snakedqn import checkpoint
+from snakedqn import checkpoint, harness
 from snakedqn.agent import Hyperparams, load_agent, new_agent, save_agent
 from snakedqn.checkpoint import (
     MAGIC,
@@ -132,9 +132,11 @@ class TestAgentRoundTrip:
         # make the state non-trivial before saving
         x = np.random.default_rng(0).random((4, 84, 84, 4)).astype(np.float32)
         agent.online.forward(x, train=True)
+        # A fresh agent holds no moments; give it some, so every one is compared.
+        params = agent.online.params()
+        agent.adam.m = {k: np.full_like(p, 0.25) for k, p in params.items()}
+        agent.adam.v = {k: np.full_like(p, 0.5) for k, p in params.items()}
         agent.adam.t = 17
-        for name in agent.adam.m:
-            agent.adam.m[name][...] = 0.25
         agent.frame_count = 123_456
 
         path = tmp_path / "agent.bin"
@@ -147,6 +149,7 @@ class TestAgentRoundTrip:
             assert np.array_equal(arr, loaded.online.state_arrays()[name]), name
         for name, arr in agent.target.state_arrays().items():
             assert np.array_equal(arr, loaded.target.state_arrays()[name]), name
+        assert agent.adam.m.keys() == loaded.adam.m.keys() == params.keys()
         for name in agent.adam.m:
             assert np.array_equal(agent.adam.m[name], loaded.adam.m[name])
             assert np.array_equal(agent.adam.v[name], loaded.adam.v[name])
@@ -181,3 +184,43 @@ class TestAgentRoundTrip:
         loaded = load_agent(path, hp)
         x = np.random.default_rng(1).random((8, 84, 84, 4)).astype(np.float32)
         assert np.array_equal(agent.online.forward(x), loaded.online.forward(x))
+
+
+class TestAdamMomentsBeforeFirstUpdate:
+    """Adam's moments are allocated by the first update, yet every save has them."""
+
+    def warmup_run(self, tmp_path, monkeypatch):
+        saved = []
+
+        def spy(path, agent, hp):
+            saved.append(agent)
+            save_agent(path, agent, hp)
+
+        monkeypatch.setattr(harness, "save_agent", spy)
+        hp = Hyperparams(random_frames=10_000, replay_capacity=64)
+        path = tmp_path / "warm.bin"
+        harness.train(harness.TrainConfig(
+            hp=hp, episodes=1_000, seed=4, metrics_path=str(tmp_path / "m.csv"),
+            checkpoint_path=str(path), max_frames=80))
+        return saved[-1], path
+
+    def test_warmup_only_train_allocates_no_moments(self, tmp_path, monkeypatch):
+        agent, _ = self.warmup_run(tmp_path, monkeypatch)
+        assert agent.frame_count == 80
+        assert agent.adam.t == 0
+        assert agent.adam.m == {} and agent.adam.v == {}
+
+    def test_save_before_first_update_has_zero_moments(self, tmp_path, monkeypatch):
+        agent, path = self.warmup_run(tmp_path, monkeypatch)
+        records = read_records(path)
+        for name, p in agent.online.params().items():
+            for moment in ("m", "v"):
+                stored = records[f"adam/{moment}/{name}"]
+                assert stored.dtype == p.dtype and stored.shape == p.shape
+                assert not stored.any()
+        assert int(records["adam/t"]) == 0
+        loaded = load_agent(path, Hyperparams())
+        assert loaded.adam.m.keys() == agent.online.params().keys()
+        resaved = tmp_path / "again.bin"
+        save_agent(resaved, loaded, Hyperparams())
+        assert resaved.read_bytes() == path.read_bytes()

@@ -51,14 +51,14 @@ class TestClip:
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = param_dict(w=[1.0, -2.0])
-        state = init_adam(params)
+        state = init_adam()
         adam_step(params, param_dict(w=[0.0, 0.0]), state)
         assert np.array_equal(params["w"], [1.0, -2.0])
         assert state.t == 1
 
     def test_first_step_magnitude(self):
         params = param_dict(w=[0.0])
-        state = init_adam(params)
+        state = init_adam()
         adam_step(params, param_dict(w=[1.0]), state, lr=0.0025)
         # bias-corrected m/sqrt(v) is exactly 1, so the step is lr/(1 + eps)
         assert np.isclose(params["w"][0], -0.0025, rtol=1e-6)
@@ -66,8 +66,10 @@ class TestAdam:
 
     def test_moments_update(self):
         params = param_dict(w=[0.0])
-        state = init_adam(params)
+        state = init_adam()
+        assert state.m == {} and state.v == {}  # allocated by the first step
         adam_step(params, param_dict(w=[2.0]), state)
+        assert state.m["w"].dtype == state.v["w"].dtype == params["w"].dtype
         assert np.isclose(state.m["w"][0], 0.1 * 2.0)
         assert np.isclose(state.v["w"][0], 0.001 * 4.0)
         assert state.t == 1
@@ -76,7 +78,7 @@ class TestAdam:
         results = []
         for _ in range(2):
             params = param_dict(w=np.linspace(-1, 1, 7))
-            state = init_adam(params)
+            state = init_adam()
             g = param_dict(w=np.sin(np.arange(7.0)))
             for _ in range(25):
                 adam_step(params, g, state, lr=0.01)
@@ -85,7 +87,7 @@ class TestAdam:
 
     def test_descends_a_quadratic(self):
         params = param_dict(w=[5.0])
-        state = init_adam(params)
+        state = init_adam()
         for _ in range(2000):
             g = param_dict(w=[2.0 * params["w"][0]])
             adam_step(params, g, state, lr=0.01)

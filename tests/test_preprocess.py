@@ -1,4 +1,4 @@
-"""Preprocessing pipeline: grayscale, block downscale, binarization, stacking."""
+"""Preprocessing: the integer observation kernel against its oracles, frames, stacking."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from snakedqn import env, preprocess
+from snakedqn import env, harness, preprocess
+from snakedqn.agent import Hyperparams
 from snakedqn.preprocess import (
+    FRAME_SIDE,
     BinaryFrame,
     PixelFormat,
-    binarize,
     binary_observation,
-    downscale,
     frame_bytes,
     frame_kb,
     stack_init,
     stack_push,
+)
+
+from preprocess_oracle import (
+    binarize,
+    block_luma_sums,
+    chain_observation,
+    downscale,
+    exact_observation,
     to_grayscale,
 )
 
@@ -102,6 +110,80 @@ class TestBinarize:
     def test_output_is_binary(self, gray):
         bits = binarize(gray).to_array()
         assert set(np.unique(bits)) <= {0, 1}
+
+
+@st.composite
+def rgb_frames(draw):
+    """Frames that tile to 84x84, made by repeating a drawn patch.
+
+    The patch's period need not divide the block side, so blocks see many
+    pixel mixes; channel values lean towards the 127.5 threshold.
+    """
+    f = draw(st.sampled_from([1, 2, 3]))
+    channel = st.one_of(st.integers(0, 255), st.integers(124, 131))
+    period = draw(st.integers(1, 2 * f + 1))
+    patch = draw(hnp.arrays(np.uint8, (period, period, 3), elements=channel))
+    side = FRAME_SIDE * f
+    reps = -(-side // period)
+    return np.tile(patch, (reps, reps, 1))[:side, :side]
+
+
+class TestBinaryObservation:
+    @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 12])
+    def test_matches_exact_oracle(self, f):
+        rng = np.random.default_rng(f)
+        side = FRAME_SIDE * f
+        for lo, hi in [(0, 255), (126, 129)]:
+            frame = rng.integers(lo, hi + 1, size=(side, side, 3), dtype=np.uint8)
+            assert binary_observation(frame) == exact_observation(frame)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rgb_frames())
+    def test_matches_oracles(self, frame):
+        got = binary_observation(frame).to_array()
+        assert np.array_equal(got, exact_observation(frame).to_array())
+        # Off the exact boundary the float64 chain's rounding cannot matter.
+        f = frame.shape[0] // FRAME_SIDE
+        off = block_luma_sums(frame) != 127_500 * f * f
+        assert np.array_equal(got[off], chain_observation(frame).to_array()[off])
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 12])
+    def test_threshold_is_strict_and_exact(self, f):
+        # Block (5, 7) sums to exactly 127500 f^2: a mean luma of 127.5.
+        pixels = [[127] * 3, [128] * 3] * (f * f // 2)
+        if f % 2:
+            pixels.append([0, 204, 68])  # 299 R + 587 G + 114 B = 127500
+        frame = np.zeros((FRAME_SIDE * f,) * 2 + (3,), dtype=np.uint8)
+        block = frame[5 * f:6 * f, 7 * f:8 * f]
+        block[...] = np.reshape(pixels, (f, f, 3))
+        assert block_luma_sums(frame)[5, 7] == 127_500 * f * f
+        assert not binary_observation(frame).to_array().any()
+        # One more unit of luma sum sets the bit.
+        block[-1, -1] = [2, 189, 140] if f % 2 else [2, 205, 62]
+        assert block_luma_sums(frame)[5, 7] == 127_500 * f * f + 1
+        bits = binary_observation(frame).to_array()
+        assert bits[5, 7] and bits.sum() == 1
+
+    def test_chain_rounds_at_the_threshold(self):
+        """Why the chain oracle is compared off the boundary only."""
+        frame = np.zeros((168, 168, 3), dtype=np.uint8)
+        frame[:2, :2] = [[[158, 152, 113], [128, 135, 154]],
+                         [[108, 145, 155], [203, 3, 246]]]
+        assert block_luma_sums(frame)[0, 0] == 510_000
+        assert not binary_observation(frame).to_array()[0, 0]
+        assert chain_observation(frame).to_array()[0, 0]
+
+    @pytest.mark.parametrize("shape", [
+        (252, 252), (252, 252, 4), (252, 336, 3), (336, 252, 3),
+        (250, 250, 3), (255, 255, 3), (42, 42, 3), (0, 0, 3),
+    ])
+    def test_rejects_frames_not_tiling_to_84(self, shape):
+        with pytest.raises(ValueError):
+            binary_observation(np.zeros(shape, dtype=np.uint8))
+
+    def test_rejects_non_uint8(self):
+        with pytest.raises(ValueError, match="uint8"):
+            binary_observation(np.zeros((252, 252, 3), dtype=np.float64))
 
 
 class TestBinaryFrame:
@@ -209,6 +291,24 @@ class TestEndToEnd:
         state = env.reset(seed=seed)
         bits = binary_observation(env.render_rgb(state)).to_array()
         assert bits.sum() == 4 * 49
+
+    def test_train_matches_chain_oracle(self, tmp_path, monkeypatch):
+        """A seeded run gives the same bytes with the float64 chain patched in."""
+        hp = Hyperparams(random_frames=48, eps_greedy_frames=48, batch_size=8,
+                         replay_capacity=96, target_sync_every=32)
+        outputs = []
+        for tag in ("kernel", "chain"):
+            if tag == "chain":
+                monkeypatch.setattr(harness, "binary_observation", chain_observation)
+            config = harness.TrainConfig(
+                hp=hp, episodes=1_000, seed=11, max_frames=160,
+                metrics_path=str(tmp_path / f"{tag}.csv"),
+                checkpoint_path=str(tmp_path / f"{tag}.bin"))
+            rows = harness.train(config)
+            assert any(not np.isnan(r.mean_loss) for r in rows)
+            outputs.append((tmp_path / f"{tag}.csv").read_bytes()
+                           + (tmp_path / f"{tag}.bin").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDumps:
