@@ -105,7 +105,7 @@ def greedy_action(stack, net: QNetwork | None, rng: np.random.Generator,
     """Epsilon-soft action: random below epsilon, else argmax of eval Q-values."""
     if rng.random() < epsilon:
         return int(rng.integers(0, n_actions))
-    q = net.forward(stack.to_input(net.dtype)[None], train=False)[0]
+    q = net.forward(stack.to_input(np.uint8)[None], train=False)[0]
     return int(np.argmax(q))
 
 
@@ -120,7 +120,7 @@ def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndar
     y = batch.rewards.astype(np.float64)
     live = ~batch.terminal
     if live.any():
-        q_next = target_net.forward(batch.next_states.astype(target_net.dtype), train=False)
+        q_next = target_net.forward(batch.next_states, train=False)
         y[live] += gamma * q_next.max(axis=1).astype(np.float64)
     return y
 
@@ -131,7 +131,7 @@ def td_loss_and_gradient(batch: Batch, targets: np.ndarray,
     n = len(batch.actions)
     if n != len(targets):
         raise ValueError("batch and targets must have equal length")
-    q = online.forward(batch.states.astype(online.dtype), train=True)
+    q = online.forward(batch.states, train=True)
     taken = q[np.arange(n), batch.actions]
     diff = np.asarray(targets, dtype=np.float64) - taken.astype(np.float64)
     loss = float(np.mean(diff**2))

@@ -195,6 +195,10 @@ def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
     ``source`` may be an AgentState, a QNetwork, a checkpoint path, or None
     for a pure random policy (requires epsilon = 1).
     """
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     hp = hp or Hyperparams()
     grid = grid or game.GridConfig(max_steps=hp.max_step)
     net = source

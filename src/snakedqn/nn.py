@@ -5,14 +5,22 @@ ordered stack of layers. Activations are channels-last ``(N, H, W, C)``
 and conv weights are ``(kh, kw, in_c, out_c)``, which keeps the im2col
 buffers contiguous for the BLAS matmuls. "Same" padding follows
 ceil-division output sizes: ``out = ceil(in / stride)``, with the smaller
-pad half before and the larger half after. Max pooling pads with -inf so
-padded positions never win a window.
+pad half before and the larger half after.
 
-A convolution window whose (zero-padded) input is all zeros outputs exactly
-the bias (then ReLU) and adds nothing to the weight gradient, so conv layers
-build im2col rows and multiply only for windows that hold a nonzero value
-(NaN counts as nonzero). Binarized frames are mostly zeros, which makes the
-first layer's GEMM about a tenth of its dense size.
+The network's first layer takes the replay's uint8 0/1 bit stacks as they
+are; any other input dtype is cast to the network's. A convolution window
+whose (zero-padded) input is all zeros outputs exactly the bias (then ReLU)
+and adds nothing to the weight gradient, so conv layers build im2col rows
+and multiply only for windows that hold a nonzero value (NaN counts as
+nonzero). Binarized frames are mostly zeros, which makes the first layer's
+GEMM about a tenth of its dense size.
+
+Max pooling (2x2, stride 2) reads an ``(n, h, w, c)`` input as
+``(n, oh, 2, ow, 2, c)``, so its four window taps are strided views and no
+window is copied. Same padding for this geometry only ever pads after, so
+an odd-sized input is padded with one row or column of -inf, which never
+wins a window; even-sized inputs are not copied at all. The backward writes
+each tap's share of the gradient straight into a view of its output.
 
 Training dtype is float32; float64 networks are supported for
 finite-difference verification.
@@ -97,6 +105,13 @@ class Conv2D(Layer):
     active. When every window is active, the im2col matrix is one contiguous
     copy of the window view and the product is the output. Outputs equal the
     dense layer's up to the order in which BLAS sums each row.
+
+    Padding and the window test run in the input's dtype, so an integer
+    input (the uint8 bit stacks) is padded as bytes; only the gathered
+    im2col rows are cast, to the dtype the input and weights promote to.
+    Backward adds ``dcols`` into ``dx`` one stride-sized block of taps at a
+    time, ``ceil(kernel / stride)**2`` adds, in the same per-element order
+    as one add per tap.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -131,11 +146,13 @@ class Conv2D(Layer):
         them, so the test runs once per block, then ORs neighbouring blocks.
         Other geometries count every window as active.
         """
-        n, hp, wp, c = xp.shape
+        n, hp, wp, _ = xp.shape
         k, s = self.kernel, self.stride
         if k % s:
             return np.ones((n, oh, ow), dtype=bool)
-        nz = (xp != 0).view(np.uint8)
+        # An integer value is nonzero iff one of its bytes is: test the bytes.
+        nz = xp.view(np.uint8) if xp.dtype.kind in "biu" else (xp != 0).view(np.uint8)
+        c = nz.shape[-1]
         # OR each block's s rows: an outer axis, so whole rows at a time ...
         block_rows = np.bitwise_or.reduce(nz.reshape(n, hp // s, s, wp * c), axis=2)
         # ... then its s * c bytes of columns, read as the widest whole words.
@@ -163,12 +180,14 @@ class Conv2D(Layer):
         # (n, oh, ow, c, kh, kw) -> (n, oh, ow, kh, kw, c): (kh, kw, c) runs
         # match the weight layout, so the gathered rows multiply it directly.
         win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3)
+        dtype = np.result_type(x.dtype, self.w.dtype)
         if dense:  # one contiguous copy beats gathering every window by index
-            cols = win.reshape(n * oh * ow, k * k * c)
+            cols = np.empty((n * oh * ow, k * k * c), dtype=dtype)
+            cols.reshape(win.shape)[...] = win
             rows = slice(None)
         else:
             ni, ii, jj = np.nonzero(active)
-            cols = win[ni, ii, jj].reshape(len(ni), k * k * c)
+            cols = win[ni, ii, jj].reshape(len(ni), k * k * c).astype(dtype, copy=False)
             rows = (ni * oh + ii) * ow + jj
         del xp, win  # the padded input is dead; free it before the GEMM
         prod = cols @ self.w.reshape(k * k * c, self.out_channels)
@@ -186,12 +205,11 @@ class Conv2D(Layer):
         else:
             mask = None
         if train:
-            self._cache = (cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl),
-                           (h + pt + pb, w + pl + pr))
+            self._cache = (cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl))
         return out
 
     def backward(self, dout, need_dx: bool = True):
-        cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl), (hp, wp) = self._take_cache()
+        cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl) = self._take_cache()
         k, s = self.kernel, self.stride
         if mask is not None:
             dout = dout * mask
@@ -202,16 +220,33 @@ class Conv2D(Layer):
         if not need_dx:
             return None
         dcols = (dmat @ wmat.T).reshape(n, oh, ow, k, k, c)
-        dxp = np.zeros((n, hp, wp, c), dtype=dout.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, i : i + (oh - 1) * s + 1 : s,
-                    j : j + (ow - 1) * s + 1 : s, :] += dcols[:, :, :, i, j, :]
+        # Tap (i, j) = (bi*s + ri, bj*s + rj) of window (oy, ox) lands on
+        # padded pixel ((oy + bi)*s + ri, (ox + bj)*s + rj). So dx, viewed as
+        # stride-sized blocks, takes one strided add per block of taps
+        # (bi, bj); the last block is partial when s does not divide k. Each
+        # pixel still sums its taps in (i, j) order, starting from zero.
+        kb = -(-k // s)
+        dxb = np.zeros((n, oh + kb - 1, s, ow + kb - 1, s, c), dtype=dout.dtype)
+        for bi in range(kb):
+            ti = min(s, k - bi * s)
+            for bj in range(kb):
+                tj = min(s, k - bj * s)
+                dxb[:, bi : bi + oh, :ti, bj : bj + ow, :tj] += dcols[
+                    :, :, :, bi * s : bi * s + ti, bj * s : bj * s + tj
+                ].transpose(0, 1, 3, 2, 4, 5)
+        dxp = dxb.reshape(n, (oh + kb - 1) * s, (ow + kb - 1) * s, c)
         return dxp[:, pt : pt + h, pl : pl + w, :]
 
 
 class MaxPool2D(Layer):
-    """2x2 window, stride 2, same padding with -inf fill."""
+    """2x2 window, stride 2, same padding with -inf fill.
+
+    Train mode caches three comparisons that give each window's
+    first-occurrence argmax; backward writes the upstream gradient times
+    that one-hot into the tap views of an uninitialised buffer. For a finite
+    upstream gradient this is exactly scattering it into zeros; a non-finite
+    one also leaves NaN at the window's other taps.
+    """
 
     kernel = 2
     stride = 2
@@ -222,43 +257,37 @@ class MaxPool2D(Layer):
     def spec(self) -> tuple:
         return ("maxpool", self.kernel, self.stride)
 
-    def _windows(self, x):
+    @staticmethod
+    def _taps(x):
         n, h, w, c = x.shape
-        k, s = self.kernel, self.stride
-        oh, pt, pb = same_pad(h, k, s)
-        ow, pl, pr = same_pad(w, k, s)
-        xp = pad_spatial(x, pt, pb, pl, pr, fill=-np.inf)
-        views = [
-            xp[:, i : i + (oh - 1) * s + 1 : s, j : j + (ow - 1) * s + 1 : s, :]
-            for i in range(k)
-            for j in range(k)
-        ]
-        return views, (oh, ow), (pt, pl), (h + pt + pb, w + pl + pr)
+        if h % 2 or w % 2:
+            x = pad_spatial(x, 0, h % 2, 0, w % 2, fill=-np.inf)
+        q = x.reshape(n, -(-h // 2), 2, -(-w // 2), 2, c)
+        return q[:, :, 0, :, 0], q[:, :, 0, :, 1], q[:, :, 1, :, 0], q[:, :, 1, :, 1]
 
     def forward(self, x, train):
-        views, (oh, ow), pads, padded = self._windows(x)
+        a, b, c, d = self._taps(x)
         if not train:
-            return np.maximum.reduce(views)
-        a, b, c_, d = views
+            out = np.maximum(a, b)
+            np.maximum(out, c, out=out)
+            return np.maximum(out, d, out=out)
         top = np.maximum(a, b)
-        bot = np.maximum(c_, d)
-        out = np.maximum(top, bot)
-        # first-occurrence argmax over window positions 0..3
-        idx = np.where(b > a, np.uint8(1), np.uint8(0))
-        idx_bot = np.where(d > c_, np.uint8(3), np.uint8(2))
-        idx = np.where(bot > top, idx_bot, idx)
-        self._cache = (idx, x.shape, (oh, ow), pads, padded)
-        return out
+        bot = np.maximum(c, d)
+        # On ties the top row wins, then the left column.
+        self._cache = (b > a, d > c, bot > top, x.shape)
+        return np.maximum(top, bot, out=top)
 
     def backward(self, dout):
-        idx, (n, h, w, c), (oh, ow), (pt, pl), (hp, wp) = self._take_cache()
-        k, s = self.kernel, self.stride
-        dxp = np.zeros((n, hp, wp, c), dtype=dout.dtype)
-        for pos in range(k * k):
-            i, j = divmod(pos, k)
-            dxp[:, i : i + (oh - 1) * s + 1 : s,
-                j : j + (ow - 1) * s + 1 : s, :] += np.where(idx == pos, dout, 0)
-        return dxp[:, pt : pt + h, pl : pl + w, :]
+        right_top, right_bot, down, (n, h, w, c) = self._take_cache()
+        oh, ow = -(-h // 2), -(-w // 2)
+        dx = np.empty((n, oh, 2, ow, 2, c), dtype=dout.dtype)
+        up = ~down
+        np.multiply(dout, up & ~right_top, out=dx[:, :, 0, :, 0])
+        np.multiply(dout, up & right_top, out=dx[:, :, 0, :, 1])
+        np.multiply(dout, down & ~right_bot, out=dx[:, :, 1, :, 0])
+        np.multiply(dout, down & right_bot, out=dx[:, :, 1, :, 1])
+        dx += 0.0  # as if added to zeros: a negative dout times 0 reads +0.0, not -0.0
+        return dx.reshape(n, 2 * oh, 2 * ow, c)[:, :h, :w]
 
 
 class BatchNorm(Layer):
@@ -413,7 +442,8 @@ class QNetwork:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if self.input_shape is not None and x.shape[1:] != self.input_shape:
             raise ValueError(f"expected input {self.input_shape}, got {x.shape[1:]}")
-        x = np.asarray(x, dtype=self.dtype)
+        if not (x.dtype == np.uint8 and isinstance(self.layers[0], Conv2D)):
+            x = np.asarray(x, dtype=self.dtype)  # a conv layer takes bit stacks as they are
         for layer in self.layers:
             x = layer.forward(x, train)
         if train:

@@ -57,7 +57,10 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> dic
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float = 0.0025) -> None:
-    """One Adam update, in place on ``params``."""
+    """One Adam update, in place on ``params`` and the moments.
+
+    Parameters, gradients and moments share one dtype, as a network's do.
+    """
     if not state.m:
         state.m, state.v = zero_moments(params), zero_moments(params)
     state.t += 1
@@ -68,10 +71,19 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+        # in two scratch arrays; the order of operations fixes the rounding.
+        s = np.multiply(g, 1 - b1)
         m *= b1
-        m += (1 - b1) * g
+        m += s
+        np.square(g, out=s)
+        s *= 1 - b2
         v *= b2
-        v += (1 - b2) * np.square(g)
-        mhat = m / bc1
-        vhat = v / bc2
-        p -= (lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.dtype, copy=False)
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        r = np.divide(v, bc2)
+        np.sqrt(r, out=r)
+        r += state.eps
+        s /= r
+        p -= s

@@ -127,8 +127,8 @@ class FrameStack:
             raise ValueError(f"stack must hold {STACK_DEPTH} frames")
 
     def to_input(self, dtype=np.float32) -> np.ndarray:
-        """(84, 84, 4) tensor of 0.0/1.0 values, frames stacked channels-last."""
-        return np.stack([f.to_array() for f in self.frames], axis=-1).astype(dtype)
+        """(84, 84, 4) tensor of 0/1 values in ``dtype``, frames stacked channels-last."""
+        return np.stack([f.to_array() for f in self.frames], axis=-1).astype(dtype, copy=False)
 
 
 def stack_init(first: BinaryFrame) -> FrameStack:

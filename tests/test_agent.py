@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from snakedqn import nn
+from snakedqn import agent as agent_module
+from snakedqn import harness, nn
 from snakedqn.agent import (
     Hyperparams,
     compute_targets,
@@ -22,6 +23,7 @@ from snakedqn.preprocess import BinaryFrame, FrameStack
 from snakedqn.replay import Experience, ReplayBuffer
 
 from replay_oracle import _batch_inputs, episodes, oracle_batch
+from update_oracle import OracleMaxPool2D, oracle_adam_step
 
 HP = Hyperparams()
 
@@ -300,3 +302,29 @@ class TestHyperparams:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             Hyperparams(**kw)
+
+
+class TestEndToEnd:
+    def test_train_matches_update_oracle(self, tmp_path, monkeypatch):
+        """A seeded learning run gives the same bytes with the oracle update step:
+        the reference max-pool and Adam, and batches cast to float before the
+        network sees them."""
+        hp = Hyperparams(random_frames=128, eps_greedy_frames=192, target_sync_every=64)
+        outputs = []
+        for tag in ("lean", "oracle"):
+            if tag == "oracle":
+                forward = nn.QNetwork.forward
+                monkeypatch.setattr(nn, "MaxPool2D", OracleMaxPool2D)
+                monkeypatch.setattr(agent_module, "adam_step", oracle_adam_step)
+                monkeypatch.setattr(nn.QNetwork, "forward", lambda net, x, train=False:
+                                    forward(net, np.asarray(x, dtype=net.dtype), train))
+            config = harness.TrainConfig(
+                hp=hp, episodes=1_000, seed=11, max_frames=320, checkpoint_every=4,
+                metrics_path=str(tmp_path / f"{tag}.csv"),
+                checkpoint_path=str(tmp_path / f"{tag}.bin"))
+            rows = harness.train(config)
+            assert sum(not np.isnan(r.mean_loss) for r in rows) >= 2
+            outputs.append(((tmp_path / f"{tag}.csv").read_bytes(),
+                            (tmp_path / f"{tag}.bin").read_bytes()))
+        assert isinstance(nn.build_q_network().layers[1], OracleMaxPool2D)
+        assert outputs[0] == outputs[1]

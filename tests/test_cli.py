@@ -1,5 +1,7 @@
 """Command line: documented exit codes, and the config-file parser."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,16 @@ class TestExitCodes:
         (tmp_path / "junk.bin").write_bytes(b"not a checkpoint at all")
         assert main(["eval", "--checkpoint", str(tmp_path / "junk.bin")]) == EXIT_CORRUPT
 
+    @pytest.mark.parametrize("option, value", [("--episodes", "0"), ("--episodes", "-3"),
+                                               ("--epsilon", "-0.1"), ("--epsilon", "1.5"),
+                                               ("--epsilon", "nan")])
+    def test_eval_bad_arguments(self, tmp_path, capsys, option, value):
+        # Rejected before the checkpoint is opened: this one does not exist.
+        argv = ["eval", "--checkpoint", str(tmp_path / "missing.bin"), option, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and option[2:] in err
+
     @pytest.mark.parametrize("body", [
         "",
         "episode,score\n0,1\n",
@@ -92,6 +104,45 @@ class TestExitCodes:
         assert main(argv) == EXIT_CORRUPT
         assert "line " in capsys.readouterr().err
         assert not (tmp_path / "o.svg").exists()
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+class TestPlot:
+    @staticmethod
+    def render(tmp_path, rows, kind, name):
+        csv = tmp_path / "m.csv"
+        csv.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        out = tmp_path / name
+        assert main(["plot", "--metrics", str(csv), "--kind", kind, "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["score", "reward"])
+    def test_multi_row_chart(self, tmp_path, kind, capsys):
+        rows = [f"{i},{i % 3},{0.5 * i - 1!r},{0.25 * i!r},{10 + i},1.0,nan,{(i + 1) * 10}"
+                for i in range(7)]
+        svg = self.render(tmp_path, rows, kind, "a.svg")
+        assert self.render(tmp_path, rows, kind, "b.svg") == svg
+        assert "a.svg" in capsys.readouterr().out
+        root = ET.fromstring(svg)
+        assert root.tag == SVG + "svg"
+        lines = root.findall(SVG + "polyline")
+        assert len(lines) == 2  # the raw series and its rolling mean
+        for line in lines:
+            points = line.get("points").split()
+            assert len(points) == len(rows)
+            assert all(len(p.split(",")) == 2 for p in points)
+        assert root.findall(SVG + "circle") == []
+
+    @pytest.mark.parametrize("kind", ["score", "reward"])
+    def test_single_row_chart(self, tmp_path, kind):
+        rows = ["0,2,1.5,1.25,12,1.0,nan,12"]
+        svg = self.render(tmp_path, rows, kind, "a.svg")
+        assert self.render(tmp_path, rows, kind, "b.svg") == svg
+        root = ET.fromstring(svg)
+        assert len(root.findall(SVG + "circle")) == 1
+        assert root.findall(SVG + "polyline") == []
 
 
 class TestParseConfigFile:

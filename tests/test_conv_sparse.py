@@ -29,6 +29,7 @@ GEOMETRIES = [
     ((9, 7), 2, 3, 6, 3),
     ((5, 6), 3, 2, 2, 1),
     ((10, 10), 1, 2, 4, 4),
+    ((8, 7), 2, 3, 2, 3),
 ]
 
 RTOL = {np.float32: 1e-5, np.float64: 1e-12}
@@ -82,7 +83,7 @@ def compare(sparse, dense, x, dtype, exact=True):
     dx_want = dense.backward(dout)
     assert_close(sparse.dw, dense.dw, RTOL[dtype])
     assert_close(sparse.db, dense.db, RTOL[dtype])
-    assert np.array_equal(dx, dx_want)
+    assert dx.tobytes() == dx_want.tobytes()
 
 
 class TestAgainstDenseOracle:
@@ -137,6 +138,39 @@ class TestAgainstDenseOracle:
         sparse, _ = layer_pair(in_c, out_c, k, s, False, np.float32)
         out = sparse.forward(np.zeros((2, *shape, in_c), dtype=np.float32), train=False)
         assert (out == sparse.b).all()
+
+
+class TestIntegerInput:
+    """An integer batch gives the bytes its float cast gives."""
+
+    @pytest.mark.parametrize("g", range(len(GEOMETRIES)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["3%", "50%", "ones"])
+    def test_uint8_matches_float_cast(self, g, dtype, kind):
+        shape, in_c, out_c, k, s = GEOMETRIES[g]
+        layer, _ = layer_pair(in_c, out_c, k, s, True, dtype)
+        x = binary_batch(kind, 3, shape, in_c).astype(np.uint8)
+        self.check(layer, x, dtype)
+
+    def test_wide_integers_test_every_byte(self):
+        # 256 is nonzero only in its high byte, -1 in every byte.
+        shape, in_c, out_c, k, s = GEOMETRIES[0]
+        layer, _ = layer_pair(in_c, out_c, k, s, True, np.float32)
+        x = np.zeros((2, *shape, in_c), dtype=np.int16)
+        x[0, 40, 41, 2] = 256
+        x[1, 3, 80, 0] = -1
+        self.check(layer, x, np.float32)
+
+    @staticmethod
+    def check(layer, x, dtype):
+        results = []
+        for inp in (x, x.astype(dtype)):
+            out = layer.forward(inp, train=True)
+            dout = np.random.default_rng(2).normal(size=out.shape).astype(dtype)
+            dx = layer.backward(dout)
+            results.append([a.tobytes() for a in (out, layer.dw, layer.db, dx)])
+            assert out.dtype == layer.dw.dtype == dtype
+        assert results[0] == results[1]
 
 
 class TestActiveWindows:

@@ -9,6 +9,7 @@ from snakedqn import nn
 from snakedqn.nn import BatchNorm, Conv2D, Dense, Flatten, MaxPool2D, QNetwork
 
 from gradcheck import max_input_rel_error, max_param_rel_error
+from update_oracle import OracleMaxPool2D
 
 
 def naive_conv_same(x, w, b, stride):
@@ -137,17 +138,65 @@ class TestMaxPool:
         assert np.isfinite(out).all()
 
     def test_train_idx_matches_stack_argmax(self):
+        """The max, and a one-hot upstream gradient lands at the first argmax."""
         pool = MaxPool2D()
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = (rng.random((2, 5, 7, 3)) > 0.5).astype(np.float32)  # many ties
             out = pool.forward(x, train=True)
-            idx = pool._cache[0]
-            views, _, _, _ = pool._windows(x)
-            stacked = np.stack(views, axis=-1)
+            xp = np.pad(x, ((0, 0), (0, 1), (0, 1), (0, 0)), constant_values=-np.inf)
+            stacked = np.stack([xp[:, i::2, j::2] for i in range(2) for j in range(2)], axis=-1)
             assert np.array_equal(out, stacked.max(-1))
-            assert np.array_equal(idx, stacked.argmax(-1))
-            pool._cache = None
+            # Windows do not overlap, so an all-ones upstream gradient is a
+            # one-hot per window.
+            dx = pool.backward(np.ones_like(out))
+            dxp = np.pad(dx, ((0, 0), (0, 1), (0, 1), (0, 0)))
+            taps = np.stack([dxp[:, i::2, j::2] for i in range(2) for j in range(2)], axis=-1)
+            assert np.array_equal(taps, np.arange(4) == stacked.argmax(-1)[..., None])
+
+
+def pool_input(kind, shape, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=shape).astype(dtype)
+    if kind == "binary":
+        return (rng.random(shape) < 0.5).astype(dtype)
+    if kind == "relu_rows":  # relu'd rows of one constant each: ties, many at 0
+        rows = rng.normal(size=shape[:2] + (1,) * (len(shape) - 2))
+        return np.maximum(np.broadcast_to(rows, shape), 0).astype(dtype)
+    if kind == "signed_zeros":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(dtype)
+    raise ValueError(kind)
+
+
+class TestMaxPoolOracle:
+    """Bit-for-bit against the pad-everything, argmax-index layer."""
+
+    SHAPES = [(32, 21, 21, 32), (32, 6, 6, 64), (32, 2, 2, 128),  # production
+              (3, 5, 7, 2), (2, 4, 6, 3), (2, 1, 1, 2), (1, 3, 2, 1), (2, 8, 5, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", ["random", "binary", "relu_rows", "signed_zeros"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward(self, shape, kind, dtype):
+        x = pool_input(kind, shape, dtype)
+        pool, oracle = MaxPool2D(), OracleMaxPool2D()
+        assert pool.forward(x, train=False).tobytes() == oracle.forward(x, train=False).tobytes()
+        out = pool.forward(x, train=True)
+        want = oracle.forward(x, train=True)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        dout = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
+        dout[..., 0] = -0.0  # the oracle adds it to zeros, which reads +0.0
+        dx, dx_want = pool.backward(dout), oracle.backward(dout)
+        assert dx.shape == x.shape and dx.dtype == dx_want.dtype
+        assert dx.tobytes() == dx_want.tobytes()
+
+    def test_non_contiguous_input(self):
+        x = pool_input("random", (2, 9, 7, 6), np.float32)[..., ::2]
+        pool, oracle = MaxPool2D(), OracleMaxPool2D()
+        assert pool.forward(x, train=True).tobytes() == oracle.forward(x, train=True).tobytes()
+        dout = np.ones((2, 5, 4, 3), dtype=np.float32)
+        assert pool.backward(dout).tobytes() == oracle.backward(dout).tobytes()
 
 
 class TestBatchNorm:

@@ -189,3 +189,42 @@ class TestComposedGradients:
         worst, probed = max_param_rel_error(net, x, coeffs, probes_per_tensor=2)
         assert probed >= 10
         assert worst < 1e-5
+
+
+class TestBitStackInput:
+    """uint8 0/1 stacks reach the first conv layer uncast, with the same result."""
+
+    @staticmethod
+    def stacks(n, seed=5, density=0.03):
+        return (np.random.default_rng(seed).random((n, 84, 84, 4)) < density).astype(np.uint8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_outputs_and_gradients_as_float_cast(self, dtype):
+        x = self.stacks(8)
+        coeffs = np.random.default_rng(6).normal(size=(8, 4))
+        results = []
+        for inp in (x, x.astype(dtype)):
+            net = fresh_net(dtype=dtype)
+            q_eval = net.forward(inp, train=False)
+            q = net.forward(inp, train=True)
+            grads = net.backward(coeffs)
+            assert q.dtype == dtype
+            results.append([q_eval.tobytes(), q.tobytes()]
+                           + [g.tobytes() for g in grads.values()])
+        assert results[0] == results[1]
+
+    def test_other_dtypes_are_cast(self):
+        net = fresh_net(dtype=np.float32)
+        x = self.stacks(2).astype(np.float64)
+        q = net.forward(x)
+        assert q.dtype == np.float32
+        assert q.tobytes() == net.forward(x.astype(np.float32)).tobytes()
+
+    def test_gradcheck_on_bit_stacks(self):
+        net = nn.build_q_network(4, dtype=np.float64)
+        nn.init_weights(net, np.random.default_rng(1))
+        x = self.stacks(2, seed=9, density=0.2)
+        coeffs = np.random.default_rng(7).normal(size=(2, 4))
+        worst, probed = max_param_rel_error(net, x, coeffs, probes_per_tensor=2)
+        assert probed >= 10
+        assert worst < 1e-5

@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from snakedqn.optim import adam_step, clip_global_norm, global_norm, init_adam
 
+from update_oracle import oracle_adam_step
+
 
 def param_dict(**arrays):
     return {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
@@ -92,3 +94,32 @@ class TestAdam:
             g = param_dict(w=[2.0 * params["w"][0]])
             adam_step(params, g, state, lr=0.01)
         assert abs(params["w"][0]) < 0.05
+
+
+class TestAdamOracle:
+    """In place, two scratch arrays per parameter: bit for bit the fresh-array step."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_oracle_for_200_steps(self, dtype):
+        rng = np.random.default_rng(12)
+        shapes = {"conv.w": (4, 4, 3, 5), "conv.b": (5,), "dense.w": (7, 3), "bn.gamma": (1,)}
+        init = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+        params = {k: p.copy() for k, p in init.items()}
+        want = {k: p.copy() for k, p in init.items()}
+        state, oracle_state = init_adam(), init_adam()
+        for step in range(200):
+            scale = 10.0 ** rng.integers(-6, 2)
+            grads = {k: (scale * rng.normal(size=shape)).astype(dtype)
+                     for k, shape in shapes.items()}
+            grads["conv.b"][step % 5] = 0.0
+            before = {k: g.tobytes() for k, g in grads.items()}
+            lr = 0.0025 if step % 2 else 0.01
+            adam_step(params, grads, state, lr=lr)
+            oracle_adam_step(want, grads, oracle_state, lr=lr)
+            assert {k: g.tobytes() for k, g in grads.items()} == before
+            assert state.t == oracle_state.t == step + 1
+            for k in shapes:
+                assert params[k].dtype == dtype
+                assert params[k].tobytes() == want[k].tobytes()
+                assert state.m[k].tobytes() == oracle_state.m[k].tobytes()
+                assert state.v[k].tobytes() == oracle_state.v[k].tobytes()
