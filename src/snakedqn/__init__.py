@@ -2,7 +2,7 @@
 stores each frame once, deflated, and a from-scratch numpy CNN trained with Adam."""
 
 from .agent import AgentState, Hyperparams, epsilon_at, load_agent, new_agent, save_agent
-from .env import Direction, EnvState, GridConfig, StepEvent, StepOutcome, reset, step
+from .env import Direction, EnvState, GridConfig, StepOutcome, reset, step
 from .harness import EvalResult, TrainConfig, evaluate, memreport_text, train
 from .nn import QNetwork, build_q_network
 from .preprocess import BinaryFrame, FrameStack, PixelFormat, frame_bytes
@@ -21,7 +21,6 @@ __all__ = [
     "PixelFormat",
     "QNetwork",
     "ReplayBuffer",
-    "StepEvent",
     "StepOutcome",
     "TrainConfig",
     "build_q_network",

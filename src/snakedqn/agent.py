@@ -8,7 +8,8 @@ schedules count environment frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,28 +37,21 @@ class Hyperparams:
     target_sync_every: int = 10_000
 
     def __post_init__(self):
-        numeric = {
-            "gamma": self.gamma,
-            "eps_initial": self.eps_initial,
-            "eps_final": self.eps_final,
-            "batch_size": self.batch_size,
-            "max_step": self.max_step,
-            "learning_rate": self.learning_rate,
-            "clip_norm": self.clip_norm,
-            "eps_greedy_frames": self.eps_greedy_frames,
-            "replay_capacity": self.replay_capacity,
-            "update_every": self.update_every,
-            "target_sync_every": self.target_sync_every,
-        }
-        for name, value in numeric.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name != "random_frames" and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
         if self.random_frames < 0:
             raise ValueError("random_frames must be non-negative")
         if not (self.eps_final <= self.eps_initial <= 1.0):
             raise ValueError("need eps_final <= eps_initial <= 1")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
+                             f"{self.replay_capacity}, so no update could ever run")
 
 
 @dataclass
@@ -101,18 +95,21 @@ def epsilon_at(frame: int, hp: Hyperparams) -> float:
 
 
 def greedy_action(stack, net: QNetwork | None, rng: np.random.Generator,
-                  epsilon: float, n_actions: int = N_ACTIONS) -> int:
-    """Epsilon-soft action: random below epsilon, else argmax of eval Q-values."""
+                  epsilon: float) -> int:
+    """Epsilon-soft action: random below epsilon, else argmax of eval Q-values.
+
+    Random actions range over the network's outputs, or over ``N_ACTIONS``
+    when ``net`` is None (a pure random policy, epsilon = 1).
+    """
     if rng.random() < epsilon:
-        return int(rng.integers(0, n_actions))
-    q = net.forward(stack.to_input(np.uint8)[None], train=False)[0]
+        return int(rng.integers(0, N_ACTIONS if net is None else net.n_outputs))
+    q = net.forward(stack.to_input()[None], train=False)[0]
     return int(np.argmax(q))
 
 
 def select_action(stack, agent: AgentState, hp: Hyperparams) -> int:
     eps = epsilon_at(agent.frame_count, hp)
-    return greedy_action(stack, agent.online, agent.rng, eps,
-                         agent.online.n_outputs)
+    return greedy_action(stack, agent.online, agent.rng, eps)
 
 
 def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
@@ -182,7 +179,6 @@ def save_agent(path, agent: AgentState, hp: Hyperparams) -> None:
         records[f"adam/v/{name}"] = arr
     records["adam/t"] = np.int64(agent.adam.t)
     records["frame_count"] = np.int64(agent.frame_count)
-    records["eps_frames"] = np.int64(max(0, agent.frame_count - hp.random_frames))
     write_records(path, records)
 
 

@@ -62,14 +62,6 @@ ACTIONS: tuple[Direction, ...] = (
 )
 
 
-class StepEvent(enum.Enum):
-    ATE_APPLE = "ate_apple"
-    COLLISION = "collision"
-    MOVED = "moved"
-    TRUNCATED = "truncated"
-    WON = "won"
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Board geometry and episode limits."""
@@ -123,7 +115,6 @@ class EnvState:
 class StepOutcome:
     reward: float
     terminal: bool
-    event: StepEvent
 
 
 def _spawn_apple(rng: np.random.Generator, free: list[tuple[int, int]]) -> tuple[int, int]:
@@ -177,7 +168,7 @@ def step(state: EnvState, action: Direction) -> tuple[EnvState, StepOutcome]:
     new_head = (state.head[0] + dx, state.head[1] + dy)
     steps = state.steps + 1
 
-    def make(body, apple, score, done, reward, event):
+    def make(body, apple, score, done, reward):
         new_state = dataclasses.replace(
             state,
             body=body,
@@ -187,7 +178,7 @@ def step(state: EnvState, action: Direction) -> tuple[EnvState, StepOutcome]:
             steps=steps,
             done=done,
         )
-        return new_state, StepOutcome(reward=reward, terminal=done, event=event)
+        return new_state, StepOutcome(reward=reward, terminal=done)
 
     out_of_bounds = not (0 <= new_head[0] < cfg.width and 0 <= new_head[1] < cfg.height)
     if new_head == state.apple:
@@ -196,7 +187,7 @@ def step(state: EnvState, action: Direction) -> tuple[EnvState, StepOutcome]:
         # The tail cell vacates on a non-eating move, so it is fair game.
         hits_body = new_head in state.body[:-1]
     if out_of_bounds or hits_body:
-        return make(state.body, state.apple, state.score, True, REWARD_DEATH, StepEvent.COLLISION)
+        return make(state.body, state.apple, state.score, True, REWARD_DEATH)
 
     if new_head == state.apple:
         body = (new_head,) + state.body
@@ -204,18 +195,16 @@ def step(state: EnvState, action: Direction) -> tuple[EnvState, StepOutcome]:
         probe = dataclasses.replace(state, body=body, apple=None)
         free = free_cells(probe)
         if not free:
-            return make(body, None, score, True, REWARD_APPLE, StepEvent.WON)
+            return make(body, None, score, True, REWARD_APPLE)
         apple = _spawn_apple(state.rng, free)
-        reward, event = REWARD_APPLE, StepEvent.ATE_APPLE
+        reward = REWARD_APPLE
     else:
         body = (new_head,) + state.body[:-1]
         score = state.score
         apple = state.apple
-        reward, event = REWARD_STEP, StepEvent.MOVED
+        reward = REWARD_STEP
 
-    if steps >= cfg.max_steps:
-        return make(body, apple, score, True, reward, StepEvent.TRUNCATED)
-    return make(body, apple, score, False, reward, event)
+    return make(body, apple, score, steps >= cfg.max_steps, reward)
 
 
 def render_rgb(state: EnvState) -> np.ndarray:
@@ -229,34 +218,3 @@ def render_rgb(state: EnvState) -> np.ndarray:
     for x, y in cells:
         frame[y * px : (y + 1) * px, x * px : (x + 1) * px, :] = 255
     return frame
-
-
-def format_grid(state: EnvState) -> str:
-    """Line-oriented text rendering: '.' empty, 'S' body, 'H' head, 'A' apple."""
-    cfg = state.config
-    rows = []
-    body = set(state.body)
-    for y in range(cfg.height):
-        row = []
-        for x in range(cfg.width):
-            cell = (x, y)
-            if cell == state.head:
-                row.append("H")
-            elif cell in body:
-                row.append("S")
-            elif cell == state.apple:
-                row.append("A")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return "\n".join(rows)
-
-
-def write_pgm(path, state: EnvState) -> None:
-    """Dump the rendered frame as a binary PGM (P5) for eyeballing."""
-    frame = render_rgb(state)
-    gray = frame.max(axis=2)  # renders are pure black/white
-    header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(gray.astype(np.uint8).tobytes())

@@ -9,9 +9,9 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from . import env as game
 from .agent import (
     AgentState,
     Hyperparams,
-    N_ACTIONS,
     epsilon_at,
     greedy_action,
     learn_step,
@@ -37,8 +36,6 @@ from .preprocess import (
     stack_push,
 )
 from .replay import FRAMES_PER_EXPERIENCE, Experience, ReplayBuffer, memory_report
-
-CSV_HEADER = "episode,score,cumulative_reward,discounted_return,steps,epsilon,mean_loss,frames_total"
 
 
 @dataclass
@@ -71,16 +68,13 @@ class EpisodeMetrics:
     frames_total: int
 
     def csv_row(self) -> str:
-        return ",".join([
-            str(self.episode),
-            str(self.score),
-            repr(self.cumulative_reward),
-            repr(self.discounted_return),
-            str(self.steps),
-            repr(self.epsilon),
-            repr(self.mean_loss),
-            str(self.frames_total),
-        ])
+        """The row under CSV_HEADER; a float prints as ``repr`` does, round-trippable."""
+        return ",".join(str(getattr(self, name)) for name in CSV_FIELDS)
+
+
+# The metrics CSV has one column per EpisodeMetrics field, in field order.
+CSV_FIELDS = [f.name for f in fields(EpisodeMetrics)]
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -95,11 +89,11 @@ def observe(state: game.EnvState):
 
 
 def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
-                hp: Hyperparams, frame_budget: int | None = None) -> dict:
+                hp: Hyperparams, frame_budget: int | None = None) -> dict | None:
     """Play one episode with learning; returns its summary dict.
 
     ``frame_budget`` caps how many frames this episode may consume; hitting
-    the cap abandons the episode mid-flight (summary is marked incomplete).
+    the cap abandons the episode mid-flight and returns None.
     """
     stack = stack_init(observe(state))
     cumulative = 0.0
@@ -109,7 +103,7 @@ def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
     used = 0
     while not state.done:
         if frame_budget is not None and used >= frame_budget:
-            return {"complete": False, "frames_used": used, "state": state}
+            return None
         action = select_action(stack, agent, hp)
         state, outcome = game.step(state, game.ACTIONS[action])
         agent.frame_count += 1
@@ -125,17 +119,13 @@ def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
         cumulative += outcome.reward
         discounted += gamma_t * outcome.reward
         gamma_t *= hp.gamma
-    summary = {
-        "complete": True,
-        "frames_used": used,
-        "state": state,
+    return {
         "score": state.score,
         "cumulative_reward": cumulative,
         "discounted_return": discounted,
         "steps": state.steps,
         "mean_loss": float(np.mean(losses)) if losses else math.nan,
     }
-    return summary
 
 
 def train(config: TrainConfig) -> list[EpisodeMetrics]:
@@ -165,7 +155,7 @@ def train(config: TrainConfig) -> list[EpisodeMetrics]:
             if config.max_frames is not None:
                 budget = config.max_frames - agent.frame_count
             summary = run_episode(state, agent, buffer, hp, frame_budget=budget)
-            if not summary["complete"]:
+            if summary is None:
                 break
             row = EpisodeMetrics(
                 episode=episode,
@@ -213,14 +203,13 @@ def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
     act_ss, env_ss = master.spawn(2)
     rng = np.random.Generator(np.random.PCG64(act_ss))
     env_seeder = np.random.Generator(np.random.PCG64(env_ss))
-    n_actions = net.n_outputs if net is not None else N_ACTIONS
 
     scores: list[int] = []
     for _ in range(episodes):
         state = game.reset(grid, int(env_seeder.integers(0, 2**63)))
         stack = stack_init(observe(state))
         while not state.done:
-            action = greedy_action(stack, net, rng, epsilon, n_actions)
+            action = greedy_action(stack, net, rng, epsilon)
             state, _ = game.step(state, game.ACTIONS[action])
             stack = stack_push(stack, observe(state))
         scores.append(state.score)
@@ -276,21 +265,23 @@ def memreport_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-_HP_FIELDS = {f.name: f.type for f in dataclasses.fields(Hyperparams)}
+def _scalar_type(hint):
+    """The type a config value parses to: ``X`` for an ``X | None`` field."""
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
 
-_INT_KEYS = {
-    "batch_size", "max_step", "random_frames", "eps_greedy_frames",
-    "replay_capacity", "update_every", "target_sync_every",
-    "episodes", "seed", "checkpoint_every", "max_frames",
+
+# Every field of Hyperparams and TrainConfig but the nested ``hp`` is a key.
+_CONFIG_KEYS = {
+    name: (owner, _scalar_type(hint))
+    for owner in (Hyperparams, TrainConfig)
+    for name, hint in typing.get_type_hints(owner).items()
+    if name != "hp"
 }
-_FLOAT_KEYS = {"gamma", "eps_initial", "eps_final", "learning_rate", "clip_norm"}
-_STR_KEYS = {"metrics_path", "checkpoint_path", "resume_from"}
 
 
 def parse_config_file(path) -> TrainConfig:
     """Flat ``key = value`` file -> TrainConfig. Unknown keys are errors."""
-    hp_kwargs: dict = {}
-    tc_kwargs: dict = {}
+    kwargs: dict = {Hyperparams: {}, TrainConfig: {}}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -300,18 +291,10 @@ def parse_config_file(path) -> TrainConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             try:
-                if key in _INT_KEYS:
-                    parsed = int(value)
-                elif key in _FLOAT_KEYS:
-                    parsed = float(value)
-                elif key in _STR_KEYS:
-                    parsed = value
-                else:
+                if key not in _CONFIG_KEYS:
                     raise ValueError(f"unknown key {key!r}")
+                owner, kind = _CONFIG_KEYS[key]
+                kwargs[owner][key] = kind(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if key in _HP_FIELDS:
-                hp_kwargs[key] = parsed
-            else:
-                tc_kwargs[key] = parsed
-    return TrainConfig(hp=Hyperparams(**hp_kwargs), **tc_kwargs)
+    return TrainConfig(hp=Hyperparams(**kwargs[Hyperparams]), **kwargs[TrainConfig])

@@ -293,11 +293,8 @@ class MaxPool2D(Layer):
 class BatchNorm(Layer):
     """Per-channel normalization; biased batch variance, running stats for eval."""
 
-    def __init__(self, channels: int, eps: float = BN_EPSILON,
-                 momentum: float = BN_MOMENTUM, dtype=DEFAULT_DTYPE):
+    def __init__(self, channels: int, dtype=DEFAULT_DTYPE):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.dtype = dtype
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
@@ -329,13 +326,13 @@ class BatchNorm(Layer):
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean[...] = m * self.running_mean + (1 - m) * mean
             self.running_var[...] = m * self.running_var + (1 - m) * var
         else:
             mean = self.running_mean
             var = self.running_var
-        ivar = 1.0 / np.sqrt(var + self.eps)
+        ivar = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (x - mean) * ivar
         out = self.gamma * xhat + self.beta
         if train:
@@ -462,15 +459,6 @@ class QNetwork:
                 d = layer.backward(d)
         return self.gradients()
 
-    def trace_shapes(self, x: np.ndarray) -> list[tuple[int, ...]]:
-        """Per-layer output shapes (without the batch axis) of an eval forward."""
-        x = np.asarray(x, dtype=self.dtype)
-        shapes = []
-        for layer in self.layers:
-            x = layer.forward(x, train=False)
-            shapes.append(x.shape[1:])
-        return shapes
-
     def params(self) -> dict[str, np.ndarray]:
         out = {}
         for layer in self.layers:
@@ -515,7 +503,8 @@ def build_q_network(n_actions: int = 4, dtype=DEFAULT_DTYPE) -> QNetwork:
 def init_weights(net: QNetwork, rng: np.random.Generator) -> QNetwork:
     """He-uniform for ReLU layers, Glorot-uniform for the linear head.
 
-    Biases start at zero; batch-norm starts as the identity transform.
+    Biases start at zero. Other layers keep what their constructor set:
+    batch-norm is built as the identity transform.
     """
     for layer in net.layers:
         if isinstance(layer, Conv2D):
@@ -525,11 +514,6 @@ def init_weights(net: QNetwork, rng: np.random.Generator) -> QNetwork:
             fan_in = layer.in_features
             fan_out = layer.out_features
         else:
-            if isinstance(layer, BatchNorm):
-                layer.gamma[...] = 1
-                layer.beta[...] = 0
-                layer.running_mean[...] = 0
-                layer.running_var[...] = 1
             continue
         if layer.relu:
             limit = math.sqrt(6.0 / fan_in)

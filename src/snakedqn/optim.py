@@ -18,9 +18,6 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPSILON
 
 
 def init_adam() -> AdamState:
@@ -64,7 +61,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     if not state.m:
         state.m, state.v = zero_moments(params), zero_moments(params)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -84,6 +81,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         s *= lr
         r = np.divide(v, bc2)
         np.sqrt(r, out=r)
-        r += state.eps
+        r += ADAM_EPSILON
         s /= r
         p -= s

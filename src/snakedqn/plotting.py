@@ -8,16 +8,7 @@ from __future__ import annotations
 
 import csv
 
-CSV_FIELDS = [
-    "episode",
-    "score",
-    "cumulative_reward",
-    "discounted_return",
-    "steps",
-    "epsilon",
-    "mean_loss",
-    "frames_total",
-]
+from .harness import CSV_FIELDS
 
 PLOT_KINDS = {"score": "score", "reward": "cumulative_reward"}
 
@@ -36,6 +27,8 @@ class MetricsParseError(ValueError):
 
 
 def read_metrics_csv(path) -> list[dict[str, float]]:
+    """The rows of a metrics CSV as ``train`` writes it: the header must be
+    exactly the EpisodeMetrics field names, in order."""
     rows: list[dict[str, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -53,10 +53,6 @@ def frame_bytes(fmt: PixelFormat) -> int:
     return _BYTES_PER_FRAME[fmt]
 
 
-def frame_kb(fmt: PixelFormat) -> float:
-    return frame_bytes(fmt) / 1024
-
-
 class BinaryFrame:
     """An 84x84 single-bit image, stored bit-packed (882 bytes)."""
 
@@ -126,9 +122,9 @@ class FrameStack:
         if len(self.frames) != STACK_DEPTH:
             raise ValueError(f"stack must hold {STACK_DEPTH} frames")
 
-    def to_input(self, dtype=np.float32) -> np.ndarray:
-        """(84, 84, 4) tensor of 0/1 values in ``dtype``, frames stacked channels-last."""
-        return np.stack([f.to_array() for f in self.frames], axis=-1).astype(dtype, copy=False)
+    def to_input(self) -> np.ndarray:
+        """(84, 84, 4) uint8 tensor of 0/1 values, frames stacked channels-last."""
+        return np.stack([f.to_array() for f in self.frames], axis=-1)
 
 
 def stack_init(first: BinaryFrame) -> FrameStack:
@@ -137,22 +133,3 @@ def stack_init(first: BinaryFrame) -> FrameStack:
 
 def stack_push(stack: FrameStack, frame: BinaryFrame) -> FrameStack:
     return FrameStack(stack.frames[1:] + (frame,))
-
-
-def write_pbm(path, frame: BinaryFrame) -> None:
-    """Dump as binary PBM (P4). Rows are padded to whole bytes per the format."""
-    bits = frame.to_array()
-    header = f"P4\n{FRAME_SIDE} {FRAME_SIDE}\n".encode("ascii")
-    packed_rows = np.packbits(bits, axis=1)  # pads each row to 11 bytes
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(packed_rows.tobytes())
-
-
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Dump a grayscale image as binary PGM (P5), rounding to 8-bit."""
-    data = np.clip(np.rint(gray), 0, 255).astype(np.uint8)
-    header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())

@@ -170,13 +170,10 @@ def _unpack(packed: np.ndarray) -> np.ndarray:
     return bits.reshape(n, FRAME_SIDE, FRAME_SIDE, STACK_DEPTH)
 
 
-def memory_report(
-    capacity: int,
-    fmt: PixelFormat,
-    frames_per_experience: int = FRAMES_PER_EXPERIENCE,
-) -> tuple[int, float]:
-    """Total (bytes, GiB) to hold ``capacity`` experiences in pixel format ``fmt``."""
+def memory_report(capacity: int, fmt: PixelFormat) -> tuple[int, float]:
+    """Total (bytes, GiB) to hold ``capacity`` experiences of
+    FRAMES_PER_EXPERIENCE frames each in pixel format ``fmt``."""
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    total = capacity * frames_per_experience * frame_bytes(fmt)
+    total = capacity * FRAMES_PER_EXPERIENCE * frame_bytes(fmt)
     return total, total / 1024**3

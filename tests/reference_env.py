@@ -52,25 +52,25 @@ class RefSnake:
         self.steps += 1
         if not (0 <= nh[0] < self.w and 0 <= nh[1] < self.h):
             self.done = True
-            return -1.0, True, "collision"
+            return -1.0, True
         eating = nh == self.apple
         blocking = self.snake if eating else self.snake[:-1]
         if nh in blocking:
             self.done = True
-            return -1.0, True, "collision"
+            return -1.0, True
         if eating:
             self.snake = [nh] + self.snake
             self.score += 1
             self.apple = None
             if not self._free():
                 self.done = True
-                return 1.0, True, "won"
+                return 1.0, True
             self.apple = self._spawn()
-            reward, event = 1.0, "ate_apple"
+            reward = 1.0
         else:
             self.snake = [nh] + self.snake[:-1]
-            reward, event = -0.1, "moved"
+            reward = -0.1
         if self.steps >= self.max_steps:
             self.done = True
-            return reward, True, "truncated"
-        return reward, False, event
+            return reward, True
+        return reward, False

@@ -142,7 +142,7 @@ class TestBatchInputs:
         stacks = [FrameStack(tuple(frames[(i + j) % 5] for j in range(4)))
                   for i in range(7)]
         got = _batch_inputs(stacks, dtype)
-        want = np.stack([s.to_input(dtype) for s in stacks])
+        want = np.stack([s.to_input() for s in stacks]).astype(dtype)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
@@ -298,6 +298,9 @@ class TestHyperparams:
         dict(eps_final=0.5, eps_initial=0.1),
         dict(batch_size=0),
         dict(learning_rate=-1.0),
+        dict(learning_rate=float("nan")),
+        dict(clip_norm=float("inf")),
+        dict(batch_size=64, replay_capacity=16),  # learn_step could never sample
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

@@ -176,6 +176,21 @@ class TestAgentRoundTrip:
         with pytest.raises(CheckpointError, match="mismatch"):
             load_agent(path, hp)
 
+    def test_file_with_eps_frames_record_loads(self, tmp_path):
+        # Older files end with an ``eps_frames`` record; loading ignores it.
+        hp = Hyperparams()
+        agent = new_agent(hp, seed=2)
+        agent.frame_count = 60_000
+        path = tmp_path / "agent.bin"
+        save_agent(path, agent, hp)
+        current = path.read_bytes()
+        older = tmp_path / "older.bin"
+        write_records(older, {**read_records(path), "eps_frames": np.int64(10_000)})
+        loaded = load_agent(older, hp)
+        assert loaded.frame_count == 60_000
+        save_agent(path, loaded, hp)
+        assert path.read_bytes() == current
+
     def test_eval_forward_identical_after_reload(self, tmp_path):
         hp = Hyperparams()
         agent = new_agent(hp, seed=9)

@@ -1,5 +1,6 @@
 """Command line: documented exit codes, and the config-file parser."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from snakedqn.agent import Hyperparams, new_agent, save_agent
 from snakedqn.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from snakedqn.harness import CSV_HEADER, memreport_text, parse_config_file
+from snakedqn.harness import CSV_HEADER, TrainConfig, memreport_text, parse_config_file
 
 
 def write_config(path, *lines):
@@ -20,6 +21,7 @@ def tiny_train_config(tmp_path, *extra):
         tmp_path / "train.cfg",
         "random_frames = 1000000",
         "replay_capacity = 16",
+        "batch_size = 8",
         "max_frames = 30",
         f"metrics_path = {tmp_path / 'metrics.csv'}",
         f"checkpoint_path = {tmp_path / 'agent.bin'}",
@@ -38,6 +40,24 @@ class TestExitCodes:
         assert rows[0] == CSV_HEADER
         assert (tmp_path / "agent.bin").stat().st_size > 0
         assert "metrics.csv" in capsys.readouterr().out
+        # The plotter reads what train wrote: one point per episode row.
+        out = tmp_path / "score.svg"
+        argv = ["plot", "--metrics", str(tmp_path / "metrics.csv"), "--kind", "score",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        raw = ET.fromstring(out.read_bytes()).findall(SVG + "polyline")[0]
+        assert len(raw.get("points").split()) == len(rows) - 1 == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("learning_rate = nan", "learning_rate must be finite, got nan"),
+        ("clip_norm = inf", "clip_norm must be finite, got inf"),
+        ("batch_size = 64", "batch_size 64 exceeds replay_capacity 16"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, line, message):
+        config = tiny_train_config(tmp_path, line)
+        assert main(["train", "--config", config]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
 
     @pytest.mark.parametrize("key", ["no_such_key = 1", "deterministic = true",
                                      "eval_epsilon = 0.0"])
@@ -147,6 +167,14 @@ class TestPlot:
 
 class TestParseConfigFile:
     def test_every_key_type(self, tmp_path):
+        hp_values = dict(gamma=0.5, eps_initial=0.9, eps_final=0.05, batch_size=16,
+                         max_step=200, learning_rate=1e-3, clip_norm=2.0, random_frames=100,
+                         eps_greedy_frames=1000, replay_capacity=500, update_every=2,
+                         target_sync_every=50)
+        tc_values = dict(episodes=7, seed=42, metrics_path="out/m.csv", checkpoint_path="",
+                         checkpoint_every=3, max_frames=100, resume_from="ckpt.bin")
+        assert set(hp_values) == {f.name for f in dataclasses.fields(Hyperparams)}
+        assert set(tc_values) | {"hp"} == {f.name for f in dataclasses.fields(TrainConfig)}
         path = write_config(
             tmp_path / "c.cfg",
             "# a full-line comment",
@@ -155,24 +183,17 @@ class TestParseConfigFile:
             "batch_size = 16   # trailing comment",
             "gamma=0.5",
             "  learning_rate =  1e-3  ",
-            "episodes = 7",
-            "seed = 42",
-            "max_frames = 100",
-            "metrics_path = out/m.csv",
+            "clip_norm = 2",  # an integer literal still parses to a float
             "checkpoint_path =",
-            "resume_from = ckpt.bin",
+            *(f"{key} = {value}" for key, value in {**hp_values, **tc_values}.items()
+              if key not in {"batch_size", "gamma", "learning_rate", "clip_norm",
+                             "checkpoint_path"}),
         )
         config = parse_config_file(path)
-        assert config.hp.batch_size == 16 and isinstance(config.hp.batch_size, int)
-        assert config.hp.gamma == 0.5
-        assert config.hp.learning_rate == 1e-3
-        assert config.episodes == 7
-        assert config.seed == 42
-        assert config.max_frames == 100
-        assert config.metrics_path == "out/m.csv"
-        assert config.checkpoint_path == ""
-        assert config.resume_from == "ckpt.bin"
-        assert config.hp.replay_capacity == Hyperparams().replay_capacity
+        for owner, values in ((config.hp, hp_values), (config, tc_values)):
+            for key, want in values.items():
+                got = getattr(owner, key)
+                assert got == want and type(got) is type(want), key
 
     def test_empty_file_gives_defaults(self, tmp_path):
         config = parse_config_file(write_config(tmp_path / "c.cfg", "# nothing set"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakedqn import env
-from snakedqn.env import Direction, GridConfig, StepEvent
+from snakedqn.env import Direction, GridConfig
 
 
 def make_state(body, heading, apple, config=None, seed=0, **kw):
@@ -39,6 +39,11 @@ class TestReset:
         assert state.apple not in state.body
         assert not state.done
 
+    def test_grid_golden(self):
+        state = env.reset(seed=0)
+        assert state.body == ((6, 6), (5, 6), (4, 6))
+        assert state.apple == (2, 10)  # this seed's first apple
+
     def test_same_seed_same_state(self):
         a = env.reset(seed=42)
         b = env.reset(seed=42)
@@ -61,22 +66,23 @@ class TestStep:
     def test_wall_collision(self):
         state = make_state([(11, 6), (10, 6), (9, 6)], Direction.RIGHT, (0, 0))
         state, out = env.step(state, Direction.RIGHT)
-        assert out.event == StepEvent.COLLISION
         assert out.reward == -1.0
         assert out.terminal
         assert state.done
+        assert state.body == ((11, 6), (10, 6), (9, 6))  # the snake does not move
+        assert state.steps == 1
 
     def test_self_collision(self):
         body = [(2, 2), (3, 2), (3, 3), (2, 3), (1, 3)]
         state = make_state(body, Direction.LEFT, (8, 8))
         state, out = env.step(state, Direction.DOWN)
-        assert out.event == StepEvent.COLLISION
         assert out.reward == -1.0
+        assert out.terminal
+        assert state.body == tuple(body)
 
     def test_eat_apple(self):
         state = make_state([(6, 6), (5, 6), (4, 6)], Direction.RIGHT, (7, 6))
         state, out = env.step(state, Direction.RIGHT)
-        assert out.event == StepEvent.ATE_APPLE
         assert out.reward == 1.0
         assert not out.terminal
         assert state.score == 1
@@ -88,7 +94,6 @@ class TestStep:
     def test_plain_move(self):
         state = make_state([(6, 6), (5, 6), (4, 6)], Direction.RIGHT, (0, 0))
         state, out = env.step(state, Direction.UP)
-        assert out.event == StepEvent.MOVED
         assert out.reward == -0.1
         assert not out.terminal
         assert len(state.body) == 3
@@ -99,14 +104,14 @@ class TestStep:
         state, out = env.step(state, Direction.LEFT)
         assert state.head == (7, 6)
         assert state.heading == Direction.RIGHT
-        assert out.event == StepEvent.MOVED
+        assert out.reward == -0.1 and not out.terminal
 
     def test_moving_into_vacating_tail_is_legal(self):
         # head circles back onto the tail cell, which empties this same step
         body = [(1, 0), (0, 0), (0, 1), (1, 1)]
         state = make_state(body, Direction.RIGHT, (5, 5))
         state, out = env.step(state, Direction.DOWN)
-        assert out.event == StepEvent.MOVED
+        assert out.reward == -0.1 and not out.terminal
         assert state.head == (1, 1)
 
     def test_step_done_state_raises(self):
@@ -118,27 +123,27 @@ class TestStep:
         cfg = GridConfig(max_steps=1)
         state = env.reset(cfg, seed=3)
         state, out = env.step(state, Direction.RIGHT)
-        assert out.event == StepEvent.TRUNCATED
         assert out.reward == -0.1
         assert out.terminal
         assert state.done
         assert state.steps == 1
+        assert state.head == (7, 6)  # a move, not a collision
 
     def test_truncation_keeps_apple_reward(self):
         cfg = GridConfig(max_steps=1)
         state = make_state([(6, 6), (5, 6), (4, 6)], Direction.RIGHT, (7, 6),
                            config=cfg)
         state, out = env.step(state, Direction.RIGHT)
-        assert out.event == StepEvent.TRUNCATED
         assert out.reward == 1.0
+        assert out.terminal
         assert state.score == 1
+        assert state.apple is not None  # the board is not full: not a win
 
     def test_win_on_full_board(self):
         cfg = GridConfig(width=2, height=2, init_snake_len=1)
         state = make_state([(0, 1), (0, 0), (1, 0)], Direction.DOWN, (1, 1),
                            config=cfg, score=2)
         state, out = env.step(state, Direction.RIGHT)
-        assert out.event == StepEvent.WON
         assert out.reward == 1.0
         assert out.terminal
         assert state.apple is None
@@ -196,24 +201,6 @@ class TestRender:
         assert not frame[:21, 21:].any()
 
 
-class TestTextFormat:
-    def test_grid_golden(self):
-        state = env.reset(seed=0)  # apple lands on (2, 10) for this seed
-        lines = env.format_grid(state).splitlines()
-        assert len(lines) == 12 and all(len(l) == 12 for l in lines)
-        assert lines[6] == "....SSH....."
-        assert lines[10] == "..A........."
-        assert all(set(l) <= set(".SHA") for l in lines)
-
-    def test_pgm_dump(self, tmp_path):
-        state = env.reset(seed=0)
-        path = tmp_path / "frame.pgm"
-        env.write_pgm(path, state)
-        blob = path.read_bytes()
-        assert blob.startswith(b"P5\n252 252\n255\n")
-        assert len(blob) == len(b"P5\n252 252\n255\n") + 252 * 252
-
-
 @st.composite
 def walk_cases(draw):
     width = draw(st.integers(4, 9))
@@ -243,11 +230,8 @@ class TestInvariants:
                 assert state.apple not in state.body
             assert state.score == len(state.body) - init_len
             assert state.steps <= cfg.max_steps
-            if out.event == StepEvent.ATE_APPLE:
-                assert len(state.body) == prev_len + 1
-            elif out.event == StepEvent.MOVED:
-                assert len(state.body) == prev_len
-            assert len(state.body) >= prev_len - (0 if out.event != StepEvent.COLLISION else 0)
+            # Only an apple grows the snake; a collision leaves the body as it was.
+            assert len(state.body) == prev_len + (out.reward == 1.0)
             prev_len = len(state.body)
 
     def test_same_seed_same_apple_sequence(self):
@@ -262,6 +246,6 @@ class TestInvariants:
                 if state.done:
                     break
                 state, out = env.step(state, action)
-                if out.event == StepEvent.ATE_APPLE:
+                if out.reward == 1.0:
                     apples.append(state.apple)
         assert apples_a == apples_b

@@ -14,7 +14,6 @@ from snakedqn.preprocess import (
     PixelFormat,
     binary_observation,
     frame_bytes,
-    frame_kb,
     stack_init,
     stack_push,
 )
@@ -247,9 +246,10 @@ class TestFrameStack:
         stack = preprocess.FrameStack(tuple(frames))
         x = stack.to_input()
         assert x.shape == (84, 84, 4)
-        assert x.dtype == np.float32
+        assert x.dtype == np.uint8
         for ch in range(4):
-            assert x[0, ch, ch] == 1.0
+            assert x[0, ch, ch] == 1
+        assert x.sum() == 4
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -264,9 +264,14 @@ class TestMemoryAccounting:
         assert frame_bytes(PixelFormat.BINARY_PACKED) == 882
 
     def test_kb_values(self):
-        assert frame_kb(PixelFormat.RGB_FLOAT64) == 165.375
-        assert frame_kb(PixelFormat.GRAY_FLOAT64) == 55.125
-        assert abs(frame_kb(PixelFormat.BINARY_BYTE) - 6.890) <= 0.001
+        # The kB column of memreport's per-frame table.
+        table = harness.memreport_text().split("\n\n")[0]
+        kb = {}
+        for line in table.splitlines()[2:]:
+            *label, _bytes, value, _vs_rgb, _vs_gray = line.split()
+            kb[" ".join(label)] = value
+        assert kb == {"RGB float64": "165.375", "Gray float64": "55.125",
+                      "Binary byte": "6.890", "Binary packed": "0.861"}
 
     def test_savings_ratios(self):
         rgb = frame_bytes(PixelFormat.RGB_FLOAT64)
@@ -310,20 +315,3 @@ class TestEndToEnd:
                            + (tmp_path / f"{tag}.bin").read_bytes())
         assert outputs[0] == outputs[1]
 
-
-class TestDumps:
-    def test_pbm(self, tmp_path):
-        bits = np.zeros((84, 84), dtype=np.uint8)
-        bits[0, 0] = 1
-        path = tmp_path / "frame.pbm"
-        preprocess.write_pbm(path, BinaryFrame.from_array(bits))
-        blob = path.read_bytes()
-        assert blob.startswith(b"P4\n84 84\n")
-        assert len(blob) == len(b"P4\n84 84\n") + 11 * 84  # rows pad to 11 bytes
-
-    def test_pgm(self, tmp_path):
-        path = tmp_path / "gray.pgm"
-        preprocess.write_pgm(path, np.full((84, 84), 127.6))
-        blob = path.read_bytes()
-        assert blob.startswith(b"P5\n84 84\n255\n")
-        assert blob.endswith(b"\x80" * 84)  # 127.6 rounds to 128

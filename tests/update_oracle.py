@@ -10,7 +10,7 @@ as a fresh array. The production code must match them bit for bit.
 import numpy as np
 
 from snakedqn.nn import MaxPool2D, pad_spatial, same_pad
-from snakedqn.optim import zero_moments
+from snakedqn.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, zero_moments
 
 
 class OracleMaxPool2D(MaxPool2D):
@@ -58,7 +58,7 @@ def oracle_adam_step(params, grads, state, lr=0.0025):
     if not state.m:
         state.m, state.v = zero_moments(params), zero_moments(params)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -71,4 +71,4 @@ def oracle_adam_step(params, grads, state, lr=0.0025):
         v += (1 - b2) * np.square(g)
         mhat = m / bc1
         vhat = v / bc2
-        p -= (lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.dtype, copy=False)
+        p -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)).astype(p.dtype, copy=False)
