@@ -15,7 +15,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, read_records, write_records
 from .nn import QNetwork, build_q_network, copy_weights, init_weights
-from .optim import AdamState, adam_step, clip_global_norm, init_adam, zero_moments
+from .optim import AdamState, adam_step, clip_global_norm, zero_moments
 from .replay import Batch, ReplayBuffer
 
 N_ACTIONS = 4
@@ -75,7 +75,7 @@ def new_agent(hp: Hyperparams, seed, n_actions: int = N_ACTIONS,
     return AgentState(
         online=online,
         target=target,
-        adam=init_adam(),
+        adam=AdamState(),
         frame_count=0,
         rng=np.random.Generator(np.random.PCG64(act_ss)),
     )
@@ -160,57 +160,65 @@ def maybe_sync_target(agent: AgentState, hp: Hyperparams) -> None:
         copy_weights(agent.online, agent.target)
 
 
-def save_agent(path, agent: AgentState, hp: Hyperparams) -> None:
-    """Write networks, Adam moments, and schedule counters to one file.
+def _checkpoint_arrays(agent: AgentState) -> dict[str, np.ndarray]:
+    """The checkpoint's array records in file order, each the live array it holds.
 
-    An optimizer that has not stepped yet holds no moments; its records are
-    written as the zeros it would start from, so the file layout is the same.
+    ``save_agent`` writes these and ``load_agent`` copies into them, so this
+    is the one statement of the file layout between ``meta/n_actions`` and
+    the counters. An optimizer that has not stepped yet holds no moments;
+    they are listed as the zeros it would start from.
     """
-    records: dict[str, np.ndarray] = {}
-    records["meta/n_actions"] = np.int64(agent.online.n_outputs)
-    for name, arr in agent.online.state_arrays().items():
-        records[f"online/{name}"] = arr
-    for name, arr in agent.target.state_arrays().items():
-        records[f"target/{name}"] = arr
-    zeros = None if agent.adam.m else zero_moments(agent.online.params())
-    for name, arr in (agent.adam.m or zeros).items():
-        records[f"adam/m/{name}"] = arr
-    for name, arr in (agent.adam.v or zeros).items():
-        records[f"adam/v/{name}"] = arr
-    records["adam/t"] = np.int64(agent.adam.t)
-    records["frame_count"] = np.int64(agent.frame_count)
-    write_records(path, records)
+    m, v = agent.adam.m, agent.adam.v
+    if not m:
+        m = v = zero_moments(agent.online.params())
+    groups = {"online/": agent.online.state_arrays(), "target/": agent.target.state_arrays(),
+              "adam/m/": m, "adam/v/": v}
+    return {prefix + name: arr for prefix, arrays in groups.items() for name, arr in arrays.items()}
+
+
+def save_agent(path, agent: AgentState, hp: Hyperparams) -> None:
+    """Write networks, Adam moments, and schedule counters to one file."""
+    write_records(path, {
+        "meta/n_actions": np.int64(agent.online.n_outputs),
+        **_checkpoint_arrays(agent),
+        "adam/t": np.int64(agent.adam.t),
+        "frame_count": np.int64(agent.frame_count),
+    })
 
 
 def load_agent(path, hp: Hyperparams,
                rng: np.random.Generator | None = None) -> AgentState:
     """Rebuild an agent from a checkpoint; a fresh rng is seeded unless given."""
     records = read_records(path)
-    try:
-        n_actions = int(records["meta/n_actions"])
-    except KeyError as exc:
-        raise CheckpointError("missing record meta/n_actions") from exc
-    agent = new_agent(hp, seed=0, n_actions=n_actions)
+    agent = new_agent(hp, seed=0, n_actions=_count_record(records, "meta/n_actions", 1, None))
     if rng is not None:
         agent.rng = rng
-
-    def fill(prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        for name, arr in arrays.items():
-            key = f"{prefix}{name}"
-            if key not in records:
-                raise CheckpointError(f"missing record {key}")
-            stored = records[key]
-            if stored.shape != arr.shape:
-                raise CheckpointError(
-                    f"architecture mismatch at {key}: {stored.shape} vs {arr.shape}")
-            np.copyto(arr, stored)
-
-    fill("online/", agent.online.state_arrays())
-    fill("target/", agent.target.state_arrays())
     params = agent.online.params()
     agent.adam.m, agent.adam.v = zero_moments(params), zero_moments(params)
-    fill("adam/m/", agent.adam.m)
-    fill("adam/v/", agent.adam.v)
-    agent.adam.t = int(records.get("adam/t", np.int64(0)))
-    agent.frame_count = int(records.get("frame_count", np.int64(0)))
+    for key, arr in _checkpoint_arrays(agent).items():
+        if key not in records:
+            raise CheckpointError(f"missing record {key}")
+        stored = records[key]
+        if stored.shape != arr.shape:
+            raise CheckpointError(
+                f"architecture mismatch at {key}: {stored.shape} vs {arr.shape}")
+        np.copyto(arr, stored)
+    agent.adam.t = _count_record(records, "adam/t", 0, 0)
+    agent.frame_count = _count_record(records, "frame_count", 0, 0)
     return agent
+
+
+def _count_record(records: dict[str, np.ndarray], key: str, minimum: int,
+                  default: int | None) -> int:
+    """Record ``key``, which must be one integer >= ``minimum``.
+
+    A file without the record reads as ``default``, or is corrupt when that is None.
+    """
+    if key not in records:
+        if default is None:
+            raise CheckpointError(f"missing record {key}")
+        return default
+    value = records[key]
+    if value.ndim != 0 or value.dtype.kind not in "iu" or value < minimum:
+        raise CheckpointError(f"{key} must be one integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -94,7 +94,10 @@ def read_records(path) -> dict[str, np.ndarray]:
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
+        try:
+            name = rd.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"record name is not utf-8: {exc}") from None
         code, rank = rd.unpack("<BB")
         if code not in _CODE_TO_DTYPE:
             raise CheckpointError(f"unknown dtype code {code}")

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("episodes must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if self.max_frames is not None and self.max_frames < 1:
+            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,16 @@ an odd-sized input is padded with one row or column of -inf, which never
 wins a window; even-sized inputs are not copied at all. The backward writes
 each tap's share of the gradient straight into a view of its output.
 
+Each layer class declares its arrays once, by attribute name: ``kind``
+names its instances (``conv1``, ``conv2``, ...), ``trainable`` lists what
+the optimizer updates, with the gradient of ``w`` in ``dw``, and ``saved``
+lists other state that is copied and checkpointed with the parameters
+(batch-norm running statistics). The network derives every name-to-array
+mapping from these declarations, reading the attributes when asked:
+``params``, ``state_arrays`` and ``gradients`` all call conv1's weight
+``conv1.w``, and the optimizer's moments and the checkpoint records reuse
+those names.
+
 Training dtype is float32; float64 networks are supported for
 finite-difference verification.
 """
@@ -63,22 +73,18 @@ def pad_spatial(x: np.ndarray, pt: int, pb: int, pl: int, pr: int,
 
 
 class Layer:
-    """Base: parameters are (suffix, array) pairs; backward consumes the cache."""
+    """Base: a layer declares the names of its arrays; backward consumes the cache.
 
+    ``kind`` names the layer in its network (``conv1``, ``conv2``, ...).
+    ``trainable`` lists the attributes the optimizer updates; the gradient of
+    ``x`` is the attribute ``d<x>``. ``saved`` lists the other arrays a
+    network copies and checkpoints with them.
+    """
+
+    kind = "layer"
+    trainable: tuple[str, ...] = ()
+    saved: tuple[str, ...] = ()
     name = "layer"
-
-    def params(self) -> list[tuple[str, np.ndarray]]:
-        return []
-
-    def state(self) -> list[tuple[str, np.ndarray]]:
-        """Params plus non-trainable arrays (batch-norm running stats)."""
-        return self.params()
-
-    def grads(self) -> list[tuple[str, np.ndarray]]:
-        return []
-
-    def spec(self) -> tuple:
-        raise NotImplementedError
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
@@ -114,6 +120,9 @@ class Conv2D(Layer):
     as one add per tap.
     """
 
+    kind = "conv"
+    trainable = ("w", "b")
+
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int, relu: bool = True, dtype=DEFAULT_DTYPE):
         self.in_channels = in_channels
@@ -127,16 +136,6 @@ class Conv2D(Layer):
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._cache = None
-
-    def spec(self) -> tuple:
-        return ("conv", self.in_channels, self.out_channels, self.kernel,
-                self.stride, self.relu)
-
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def grads(self):
-        return [("w", self.dw), ("b", self.db)]
 
     def _active_windows(self, xp, oh, ow):
         """(n, oh, ow) mask of the windows whose padded input holds a nonzero.
@@ -248,14 +247,12 @@ class MaxPool2D(Layer):
     one also leaves NaN at the window's other taps.
     """
 
+    kind = "maxpool"
     kernel = 2
     stride = 2
 
     def __init__(self):
         self._cache = None
-
-    def spec(self) -> tuple:
-        return ("maxpool", self.kernel, self.stride)
 
     @staticmethod
     def _taps(x):
@@ -293,6 +290,10 @@ class MaxPool2D(Layer):
 class BatchNorm(Layer):
     """Per-channel normalization; biased batch variance, running stats for eval."""
 
+    kind = "batchnorm"
+    trainable = ("gamma", "beta")
+    saved = ("running_mean", "running_var")
+
     def __init__(self, channels: int, dtype=DEFAULT_DTYPE):
         self.channels = channels
         self.dtype = dtype
@@ -303,21 +304,6 @@ class BatchNorm(Layer):
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
-
-    def spec(self) -> tuple:
-        return ("batchnorm", self.channels)
-
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def state(self):
-        return self.params() + [
-            ("running_mean", self.running_mean),
-            ("running_var", self.running_var),
-        ]
-
-    def grads(self):
-        return [("gamma", self.dgamma), ("beta", self.dbeta)]
 
     def forward(self, x, train):
         if x.shape[-1] != self.channels:
@@ -354,11 +340,10 @@ class BatchNorm(Layer):
 
 
 class Flatten(Layer):
+    kind = "flatten"
+
     def __init__(self):
         self._cache = None
-
-    def spec(self) -> tuple:
-        return ("flatten",)
 
     def forward(self, x, train):
         if train:
@@ -371,6 +356,9 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
+    kind = "dense"
+    trainable = ("w", "b")
+
     def __init__(self, in_features: int, out_features: int, relu: bool,
                  dtype=DEFAULT_DTYPE):
         self.in_features = in_features
@@ -382,15 +370,6 @@ class Dense(Layer):
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._cache = None
-
-    def spec(self) -> tuple:
-        return ("dense", self.in_features, self.out_features, self.relu)
-
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def grads(self):
-        return [("w", self.dw), ("b", self.db)]
 
     def forward(self, x, train):
         if x.shape[1] != self.in_features:
@@ -415,7 +394,11 @@ class Dense(Layer):
 
 
 class QNetwork:
-    """An ordered layer stack with forward, backward, and named parameters."""
+    """An ordered layer stack with forward, backward, and named arrays.
+
+    Each array is named ``<layer name>.<attribute>``, layers in stack order,
+    each layer's names in the order it declares them.
+    """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...] | None = None,
                  dtype=DEFAULT_DTYPE):
@@ -424,17 +407,12 @@ class QNetwork:
         self.dtype = dtype
         counters: dict[str, int] = {}
         for layer in layers:
-            kind = layer.spec()[0]
-            counters[kind] = counters.get(kind, 0) + 1
-            layer.name = f"{kind}{counters[kind]}"
-        self._forwarded_train = False
+            counters[layer.kind] = counters.get(layer.kind, 0) + 1
+            layer.name = f"{layer.kind}{counters[layer.kind]}"
 
     @property
     def n_outputs(self) -> int:
         return self.layers[-1].out_features
-
-    def spec(self) -> tuple:
-        return tuple(layer.spec() for layer in self.layers)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if self.input_shape is not None and x.shape[1:] != self.input_shape:
@@ -443,14 +421,9 @@ class QNetwork:
             x = np.asarray(x, dtype=self.dtype)  # a conv layer takes bit stacks as they are
         for layer in self.layers:
             x = layer.forward(x, train)
-        if train:
-            self._forwarded_train = True
         return x
 
     def backward(self, dout: np.ndarray) -> dict[str, np.ndarray]:
-        if not self._forwarded_train:
-            raise RuntimeError("backward requires a preceding train-mode forward")
-        self._forwarded_train = False
         d = np.asarray(dout, dtype=self.dtype)
         for i, layer in reversed(list(enumerate(self.layers))):
             if i == 0 and isinstance(layer, Conv2D):
@@ -459,26 +432,25 @@ class QNetwork:
                 d = layer.backward(d)
         return self.gradients()
 
+    def _walk(self, with_saved: bool, prefix: str) -> dict[str, np.ndarray]:
+        """Each layer's trainable (then saved) arrays, as attribute ``prefix + name``.
+
+        Attributes are read at call time: ``backward`` rebinds the gradients.
+        """
+        return {f"{layer.name}.{x}": getattr(layer, prefix + x)
+                for layer in self.layers
+                for x in layer.trainable + (layer.saved if with_saved else ())}
+
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for suffix, arr in layer.params():
-                out[f"{layer.name}.{suffix}"] = arr
-        return out
+        return self._walk(with_saved=False, prefix="")
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for suffix, arr in layer.state():
-                out[f"{layer.name}.{suffix}"] = arr
-        return out
+        """Parameters plus the saved non-trainable arrays (batch-norm running stats)."""
+        return self._walk(with_saved=True, prefix="")
 
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for suffix, arr in layer.grads():
-                out[f"{layer.name}.{suffix}"] = arr
-        return out
+        """The gradient of each parameter, under the parameter's name."""
+        return self._walk(with_saved=False, prefix="d")
 
 
 def build_q_network(n_actions: int = 4, dtype=DEFAULT_DTYPE) -> QNetwork:
@@ -525,10 +497,11 @@ def init_weights(net: QNetwork, rng: np.random.Generator) -> QNetwork:
 
 
 def copy_weights(src: QNetwork, dst: QNetwork) -> QNetwork:
-    """Copy all parameters and running statistics; architectures must match."""
-    if src.spec() != dst.spec():
+    """Copy all parameters and running statistics; names and shapes must match."""
+    src_state, dst_state = src.state_arrays(), dst.state_arrays()
+    if ([(k, a.shape) for k, a in src_state.items()]
+            != [(k, a.shape) for k, a in dst_state.items()]):
         raise ValueError("cannot copy weights between different architectures")
-    src_state = src.state_arrays()
-    for name, arr in dst.state_arrays().items():
+    for name, arr in dst_state.items():
         np.copyto(arr, src_state[name])
     return dst

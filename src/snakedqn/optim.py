@@ -13,20 +13,15 @@ ADAM_EPSILON = 1e-7
 
 @dataclass
 class AdamState:
-    """Step count and moments; the moments stay empty until the first step."""
+    """Step count and moments; the moments stay empty until the first step.
+
+    :func:`adam_step` allocates them, so a run that never updates (replay
+    warm-up) holds no optimizer arrays.
+    """
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-
-
-def init_adam() -> AdamState:
-    """Adam at step 0, holding no moments yet.
-
-    The first :func:`adam_step` allocates them, so a run that never updates
-    (replay warm-up) holds no optimizer arrays.
-    """
-    return AdamState()
 
 
 def zero_moments(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

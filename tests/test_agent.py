@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snakedqn import agent as agent_module
-from snakedqn import harness, nn
+from snakedqn import env, harness, nn
 from snakedqn.agent import (
     Hyperparams,
     compute_targets,
@@ -15,6 +15,7 @@ from snakedqn.agent import (
     learn_step,
     maybe_sync_target,
     new_agent,
+    save_agent,
     select_action,
     td_loss_and_gradient,
 )
@@ -331,3 +332,24 @@ class TestEndToEnd:
                             (tmp_path / f"{tag}.bin").read_bytes()))
         assert isinstance(nn.build_q_network().layers[1], OracleMaxPool2D)
         assert outputs[0] == outputs[1]
+
+
+class TestEvaluate:
+    # Greedy play of an untrained net may circle: cap each episode's steps.
+    GRID = env.GridConfig(max_steps=200)
+
+    def test_agent_and_its_checkpoint_score_alike(self, tmp_path):
+        agent = new_agent(HP, seed=4)
+        path = tmp_path / "agent.bin"
+        save_agent(path, agent, HP)
+        for seed in (0, 5):
+            live = harness.evaluate(agent, episodes=3, seed=seed, grid=self.GRID)
+            loaded = harness.evaluate(path, episodes=3, seed=seed, grid=self.GRID)
+            assert live == loaded
+            assert len(live.scores) == 3 and live.best == max(live.scores)
+
+    def test_random_policy_repeats_under_a_seed(self):
+        runs = [harness.evaluate(None, episodes=4, epsilon=1.0, seed=seed, grid=self.GRID)
+                for seed in (2, 2, 3)]
+        assert runs[0] == runs[1]
+        assert runs[0].mean == np.mean(runs[0].scores)

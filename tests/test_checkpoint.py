@@ -201,6 +201,34 @@ class TestAgentRoundTrip:
         assert np.array_equal(agent.online.forward(x), loaded.online.forward(x))
 
 
+# The layers' saved arrays in network order; the optimizer's moments cover
+# the same names without the batch-norm running statistics.
+STATE_NAMES = [
+    "conv1.w", "conv1.b", "conv2.w", "conv2.b",
+    "batchnorm1.gamma", "batchnorm1.beta", "batchnorm1.running_mean", "batchnorm1.running_var",
+    "conv3.w", "conv3.b",
+    "batchnorm2.gamma", "batchnorm2.beta", "batchnorm2.running_mean", "batchnorm2.running_var",
+    "dense1.w", "dense1.b", "dense2.w", "dense2.b", "dense3.w", "dense3.b",
+]
+PARAM_NAMES = [n for n in STATE_NAMES if "running" not in n]
+
+
+class TestLayout:
+    def test_record_names_in_file_order(self, tmp_path):
+        path = tmp_path / "agent.bin"
+        save_agent(path, new_agent(Hyperparams(), seed=0), Hyperparams())
+        assert list(read_records(path)) == [
+            "meta/n_actions",
+            *(f"online/{n}" for n in STATE_NAMES),
+            *(f"target/{n}" for n in STATE_NAMES),
+            *(f"adam/m/{n}" for n in PARAM_NAMES),
+            *(f"adam/v/{n}" for n in PARAM_NAMES),
+            "adam/t",
+            "frame_count",
+        ]
+        assert (len(STATE_NAMES), len(PARAM_NAMES)) == (20, 16)
+
+
 class TestAdamMomentsBeforeFirstUpdate:
     """Adam's moments are allocated by the first update, yet every save has them."""
 

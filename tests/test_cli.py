@@ -1,12 +1,15 @@
 """Command line: documented exit codes, and the config-file parser."""
 
 import dataclasses
+import struct
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
 
 from snakedqn.agent import Hyperparams, new_agent, save_agent
+from snakedqn.checkpoint import MAGIC, read_records, write_records
 from snakedqn.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from snakedqn.harness import CSV_HEADER, TrainConfig, memreport_text, parse_config_file
 
@@ -59,6 +62,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_train_nonpositive_max_frames(self, tmp_path, capsys, value):
+        config = tiny_train_config(tmp_path, f"max_frames = {value}")
+        assert main(["train", "--config", config]) == EXIT_USAGE
+        assert f"max_frames must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+        assert not (tmp_path / "agent.bin").exists()
+
+    def test_eval_trained_checkpoint(self, tmp_path, capsys):
+        assert main(["train", "--config", tiny_train_config(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(tmp_path / "agent.bin"), "--episodes", "3"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        scores = []
+        for i, line in enumerate(lines[:3]):
+            head, score = line.rsplit(" ", 1)
+            assert head == f"episode {i}: score"
+            scores.append(int(score))
+        assert lines[3] == f"mean {sum(scores) / 3:.3f} best {max(scores)}"
+
     @pytest.mark.parametrize("key", ["no_such_key = 1", "deterministic = true",
                                      "eval_epsilon = 0.0"])
     def test_unknown_config_key(self, tmp_path, capsys, key):
@@ -99,6 +124,35 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
         (tmp_path / "junk.bin").write_bytes(b"not a checkpoint at all")
         assert main(["eval", "--checkpoint", str(tmp_path / "junk.bin")]) == EXIT_CORRUPT
+
+    @pytest.mark.parametrize("key, value", [
+        ("meta/n_actions", np.array([4, 4], dtype=np.int64)),
+        ("meta/n_actions", np.int64(-2)),
+        ("meta/n_actions", np.int64(0)),
+        ("meta/n_actions", np.float64(4.0)),
+        ("adam/t", np.zeros(3, dtype=np.int64)),
+        ("frame_count", np.int64(-1)),
+    ], ids=["n_actions-vector", "n_actions-negative", "n_actions-zero", "n_actions-float",
+            "adam_t-vector", "frame_count-negative"])
+    def test_eval_bad_counter_record(self, tmp_path, capsys, key, value):
+        # The file is intact (its CRC holds); a counter record's value is not.
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        write_records(path, {**read_records(path), key: value})
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert f"error: {key} must be one integer" in capsys.readouterr().err
+
+    def test_eval_record_name_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        blob = path.read_bytes()
+        at = blob.index(b"frame_count")
+        payload = blob[len(MAGIC) : at] + b"\xff" + blob[at + 1 : -4]
+        path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert "utf-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, value", [("--episodes", "0"), ("--episodes", "-3"),
                                                ("--epsilon", "-0.1"), ("--epsilon", "1.5"),

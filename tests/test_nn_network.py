@@ -184,6 +184,27 @@ class TestComposedGradients:
         assert probed >= 50
         assert worst < 1e-6
 
+    def test_gradients_are_the_last_backwards(self):
+        """``gradients()`` returns the arrays the latest backward set."""
+        net = reduced_net()
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 8, 8, 2))
+        before = net.gradients()
+        returned = []
+        for _ in range(2):
+            net.forward(x, train=True)
+            returned.append(net.backward(rng.normal(size=(4, 5))))
+        grads = net.gradients()
+        params = net.params()
+        assert list(grads) == list(params) == list(before)
+        for name, g in grads.items():
+            assert g is returned[1][name]
+            assert g is not returned[0][name] and g is not before[name]
+            assert g.shape == params[name].shape
+        for layer in net.layers:
+            for attr in layer.trainable:
+                assert grads[f"{layer.name}.{attr}"] is getattr(layer, f"d{attr}")
+
     def test_full_network(self):
         net = nn.build_q_network(4, dtype=np.float64)
         nn.init_weights(net, np.random.default_rng(1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from snakedqn.optim import adam_step, clip_global_norm, global_norm, init_adam
+from snakedqn.optim import AdamState, adam_step, clip_global_norm, global_norm
 
 from update_oracle import oracle_adam_step
 
@@ -53,14 +53,14 @@ class TestClip:
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = param_dict(w=[1.0, -2.0])
-        state = init_adam()
+        state = AdamState()
         adam_step(params, param_dict(w=[0.0, 0.0]), state)
         assert np.array_equal(params["w"], [1.0, -2.0])
         assert state.t == 1
 
     def test_first_step_magnitude(self):
         params = param_dict(w=[0.0])
-        state = init_adam()
+        state = AdamState()
         adam_step(params, param_dict(w=[1.0]), state, lr=0.0025)
         # bias-corrected m/sqrt(v) is exactly 1, so the step is lr/(1 + eps)
         assert np.isclose(params["w"][0], -0.0025, rtol=1e-6)
@@ -68,7 +68,7 @@ class TestAdam:
 
     def test_moments_update(self):
         params = param_dict(w=[0.0])
-        state = init_adam()
+        state = AdamState()
         assert state.m == {} and state.v == {}  # allocated by the first step
         adam_step(params, param_dict(w=[2.0]), state)
         assert state.m["w"].dtype == state.v["w"].dtype == params["w"].dtype
@@ -80,7 +80,7 @@ class TestAdam:
         results = []
         for _ in range(2):
             params = param_dict(w=np.linspace(-1, 1, 7))
-            state = init_adam()
+            state = AdamState()
             g = param_dict(w=np.sin(np.arange(7.0)))
             for _ in range(25):
                 adam_step(params, g, state, lr=0.01)
@@ -89,7 +89,7 @@ class TestAdam:
 
     def test_descends_a_quadratic(self):
         params = param_dict(w=[5.0])
-        state = init_adam()
+        state = AdamState()
         for _ in range(2000):
             g = param_dict(w=[2.0 * params["w"][0]])
             adam_step(params, g, state, lr=0.01)
@@ -106,7 +106,7 @@ class TestAdamOracle:
         init = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
         params = {k: p.copy() for k, p in init.items()}
         want = {k: p.copy() for k, p in init.items()}
-        state, oracle_state = init_adam(), init_adam()
+        state, oracle_state = AdamState(), AdamState()
         for step in range(200):
             scale = 10.0 ** rng.integers(-6, 2)
             grads = {k: (scale * rng.normal(size=shape)).astype(dtype)
