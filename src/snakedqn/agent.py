@@ -19,6 +19,8 @@ from .optim import AdamState, adam_step, clip_global_norm, zero_moments
 from .replay import Batch, ReplayBuffer
 
 N_ACTIONS = 4
+# The Q head's checkpoint records: the last axis of each has one entry per action.
+HEAD_RECORDS = ("online/dense3.w", "online/dense3.b")
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,16 @@ def load_agent(path, hp: Hyperparams,
                rng: np.random.Generator | None = None) -> AgentState:
     """Rebuild an agent from a checkpoint; a fresh rng is seeded unless given."""
     records = read_records(path)
-    agent = new_agent(hp, seed=0, n_actions=_count_record(records, "meta/n_actions", 1, None))
+    n_actions = _count_record(records, "meta/n_actions", 1, None)
+    # Check the head before building anything of that size: a file the CRC
+    # passes may still name an absurd action count.
+    for key in HEAD_RECORDS:
+        if key not in records:
+            raise CheckpointError(f"missing record {key}")
+        if records[key].shape[-1:] != (n_actions,):
+            raise CheckpointError(f"architecture mismatch at {key}: shape {records[key].shape} "
+                                  f"for meta/n_actions {n_actions}")
+    agent = new_agent(hp, seed=0, n_actions=n_actions)
     if rng is not None:
         agent.rng = rng
     params = agent.online.params()

@@ -22,6 +22,15 @@ an odd-sized input is padded with one row or column of -inf, which never
 wins a window; even-sized inputs are not copied at all. The backward writes
 each tap's share of the gradient straight into a view of its output.
 
+The first conv layer holds the first pool, so conv1, its ReLU and pool1
+run as one stage. On replay batches about nine in ten of conv1's output
+rows are the constant ``relu(b)``, and so is every pool window that none of
+the other rows reaches. The stage writes ``relu(b)`` to the pooled output,
+then pools only the windows an active row reaches, laid out as a compact
+``(windows, 2, 2, c)`` input for the pool layer. Its backward takes ``dw``
+from the active rows and ``db`` from one term per window row, so both, and
+the output, equal the separate conv and pool layers' bit for bit.
+
 Each layer class declares its arrays once, by attribute name: ``kind``
 names its instances (``conv1``, ``conv2``, ...), ``trainable`` lists what
 the optimizer updates, with the gradient of ``w`` in ``dw``, and ``saved``
@@ -41,7 +50,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 BN_EPSILON = 1e-3
@@ -118,19 +126,28 @@ class Conv2D(Layer):
     Backward adds ``dcols`` into ``dx`` one stride-sized block of taps at a
     time, ``ceil(kernel / stride)**2`` adds, in the same per-element order
     as one add per tap.
+
+    Given a ``pool``, the layer is a network's first stage: convolution,
+    ReLU, then that 2x2 max pool, computed over the pool windows that hold
+    an active row (see ``_pooled_forward``). It always gathers its rows by
+    index, and returns no input gradient.
     """
 
     kind = "conv"
     trainable = ("w", "b")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int, relu: bool = True, dtype=DEFAULT_DTYPE):
+                 stride: int, relu: bool = True, dtype=DEFAULT_DTYPE,
+                 pool: MaxPool2D | None = None):
+        if pool is not None and not relu:
+            raise ValueError("a pooled conv stage applies ReLU before the pool")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.relu = relu
         self.dtype = dtype
+        self.pool = pool
         self.w = np.zeros((kernel, kernel, in_channels, out_channels), dtype=dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
         self.dw = np.zeros_like(self.w)
@@ -175,31 +192,35 @@ class Conv2D(Layer):
         ow, pl, pr = same_pad(w, k, s)
         xp = pad_spatial(x, pt, pb, pl, pr)
         active = self._active_windows(xp, oh, ow)
-        dense = bool(active.all())
-        # (n, oh, ow, c, kh, kw) -> (n, oh, ow, kh, kw, c): (kh, kw, c) runs
+        dense = self.pool is None and bool(active.all())
+        # The (n, oh, ow, kh, kw, c) windows as a strided view: (kh, kw, c) runs
         # match the weight layout, so the gathered rows multiply it directly.
-        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3)
+        # (The constructor checks the view against xp's bounds and costs
+        # about a microsecond; sliding_window_view costs about 20.)
+        sn, sh, sw, sc = xp.strides
+        win = np.ndarray((n, oh, ow, k, k, c), xp.dtype, xp, 0, (sn, s * sh, s * sw, sh, sw, sc))
         dtype = np.result_type(x.dtype, self.w.dtype)
         if dense:  # one contiguous copy beats gathering every window by index
             cols = np.empty((n * oh * ow, k * k * c), dtype=dtype)
             cols.reshape(win.shape)[...] = win
-            rows = slice(None)
         else:
             ni, ii, jj = np.nonzero(active)
             cols = win[ni, ii, jj].reshape(len(ni), k * k * c).astype(dtype, copy=False)
-            rows = (ni * oh + ii) * ow + jj
         del xp, win  # the padded input is dead; free it before the GEMM
         prod = cols @ self.w.reshape(k * k * c, self.out_channels)
         prod += self.b
+        if self.pool is not None:
+            return self._pooled_forward(cols, prod, (ni, ii, jj), (n, oh, ow), train)
         if dense:
-            out = prod
+            out, rows = prod, slice(None)
         else:
+            rows = (ni * oh + ii) * ow + jj
             out = np.empty((n * oh * ow, self.out_channels), dtype=prod.dtype)
             out[...] = self.b
             out[rows] = prod
         out = out.reshape(n, oh, ow, self.out_channels)
         if self.relu:
-            mask = out > 0
+            mask = out > 0 if train else None
             np.maximum(out, 0, out=out)
         else:
             mask = None
@@ -207,7 +228,52 @@ class Conv2D(Layer):
             self._cache = (cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl))
         return out
 
+    def _pooled_forward(self, cols, prod, active, conv_shape, train):
+        """ReLU then ``pool`` of the conv output, over the windows an active row reaches.
+
+        ``prod`` holds the pre-activations of the active conv rows, whose
+        (sample, row, column) indices are ``active``. Every other conv row
+        is ``relu(b)``, so a pool window without an active row outputs
+        ``relu(b)``. The touched windows are pooled as a compact
+        ``(windows, 2, 2, c)`` array: active taps hold ``relu(z)``, other
+        real taps ``relu(b)`` and taps past an odd edge -inf, as the pool's
+        own padding would.
+        """
+        ni, ii, jj = active
+        n, oh, ow = conv_shape
+        ph, pw, c = -(-oh // 2), -(-ow // 2), self.out_channels
+        window = (ni * ph + (ii >> 1)) * pw + (jj >> 1)
+        hit = np.zeros(n * ph * pw, dtype=bool)
+        hit[window] = True
+        touched = np.flatnonzero(hit)
+        # Window w's four taps start at row slot[w] of the tap array, in (dy, dx) order.
+        slot = np.empty(n * ph * pw, dtype=np.intp)
+        slot[touched] = np.arange(0, 4 * len(touched), 4)
+        taps = slot[window] + (ii & 1) * 2 + (jj & 1)
+        floor = np.maximum(self.b, 0, dtype=prod.dtype)
+        # Each window position's four taps while no row in the window is active.
+        idle = np.empty((ph, pw, 2, 2, c), dtype=prod.dtype)
+        idle[...] = floor
+        if oh % 2:
+            idle[-1, :, 1] = -np.inf
+        if ow % 2:
+            idle[:, -1, :, 1] = -np.inf
+        t = idle.reshape(ph * pw, 2, 2, c)[touched % (ph * pw)]
+        mask = prod > 0 if train else None
+        np.maximum(prod, 0, out=prod)
+        t.reshape(-1, c)[taps] = prod
+        out = np.empty((n * ph * pw, c), dtype=prod.dtype)
+        out[...] = floor
+        out[touched] = self.pool.forward(t, train).reshape(-1, c)
+        if train:
+            self._cache = (cols, taps, mask, touched, (n, ph, pw))
+        return out.reshape(n, ph, pw, c)
+
     def backward(self, dout, need_dx: bool = True):
+        if self.pool is not None:
+            if need_dx:
+                raise ValueError(f"{self.name}: a pooled conv stage returns no input gradient")
+            return self._pooled_backward(dout)
         cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl) = self._take_cache()
         k, s = self.kernel, self.stride
         if mask is not None:
@@ -235,6 +301,34 @@ class Conv2D(Layer):
                 ].transpose(0, 1, 3, 2, 4, 5)
         dxp = dxb.reshape(n, (oh + kb - 1) * s, (ow + kb - 1) * s, c)
         return dxp[:, pt : pt + h, pl : pl + w, :]
+
+    def _pooled_backward(self, dout):
+        """``dw`` and ``db`` through the pool, the ReLU and the touched windows.
+
+        The pool sends each window's gradient to one tap. In a window no
+        active row reaches, that is the first tap, whose row passes it on
+        where ``b > 0``. ``db`` sums two terms per window, one per conv row
+        of the window, laid out ``(n, py, dy, px, c)``. The terms that can be
+        nonzero then meet in the order a sum over the whole conv output adds
+        them, so for a finite gradient the sum is the same to the bit. The
+        sign of a zero term cannot show: every window adds a +0.0 term.
+        """
+        cols, taps, mask, touched, (n, ph, pw) = self._take_cache()
+        c = self.out_channels
+        live = self.b > 0
+        d = dout.reshape(n * ph * pw, c)
+        dt = self.pool.backward(d[touched].reshape(-1, 1, 1, c)).reshape(-1, c)
+        dactive = dt[taps] * mask
+        self.dw = (cols.T @ dactive).reshape(self.w.shape)
+        dt *= live
+        dt[taps] = dactive
+        dt = dt.reshape(-1, 2, 2, c)
+        terms = np.empty((n * ph, 2, pw, c), dtype=dout.dtype)
+        terms[:, 0] = d.reshape(n * ph, pw, c) * live
+        terms[:, 1] = 0.0
+        terms[touched // pw, :, touched % pw] = dt[:, :, 0] + dt[:, :, 1]
+        self.db = terms.reshape(-1, c).sum(axis=0)
+        return None
 
 
 class MaxPool2D(Layer):
@@ -376,7 +470,7 @@ class Dense(Layer):
             raise ValueError(f"{self.name}: expected {self.in_features} features, got {x.shape[1]}")
         out = x @ self.w + self.b
         if self.relu:
-            mask = out > 0
+            mask = out > 0 if train else None
             out = np.maximum(out, 0)
         else:
             mask = None
@@ -456,8 +550,7 @@ class QNetwork:
 def build_q_network(n_actions: int = 4, dtype=DEFAULT_DTYPE) -> QNetwork:
     """The fixed production architecture: 84x84x4 in, one Q-value per action."""
     layers = [
-        Conv2D(4, 32, kernel=8, stride=4, relu=True, dtype=dtype),
-        MaxPool2D(),
+        Conv2D(4, 32, kernel=8, stride=4, relu=True, dtype=dtype, pool=MaxPool2D()),
         Conv2D(32, 64, kernel=4, stride=2, relu=True, dtype=dtype),
         MaxPool2D(),
         BatchNorm(64, dtype=dtype),

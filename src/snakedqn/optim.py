@@ -30,9 +30,10 @@ def zero_moments(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
+    """L2 norm of all gradients together, each squared and summed in float64."""
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+        total += float(np.sum(np.square(g, dtype=np.float64)))
     return float(np.sqrt(total))
 
 

@@ -33,6 +33,14 @@ _WINDOW = STACK_DEPTH + 1
 # Shift that brings bit plane k (MSB first) of every byte to bit 0.
 _PLANE_SHIFTS = np.arange(7, -1, -1, dtype=np.uint32)[:, None]
 _LOW_BITS = np.uint32(0x01010101)
+# Deflate parameters for one 882-byte frame. zlib's defaults (a 32 KiB
+# window, memLevel 8) give each compressor about 256 KiB of state, allocated
+# and freed on every push, and where the allocator placed it decided whether
+# the heap grew. A 2 KiB window still reaches every earlier byte of a frame,
+# and memLevel 4 buffers 1023 symbols, more than a frame can emit, so a
+# frame deflates to the same size from about 20 KiB of state.
+_DEFLATE_WBITS = 11
+_DEFLATE_MEM_LEVEL = 4
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,9 @@ class ReplayBuffer:
 def _deflate(frame) -> bytes:
     """The ring's row for ``frame``: its bits packed bit-planar, then deflated."""
     planes = frame.to_array().reshape(8, PACKED_BYTES)
-    return zlib.compress(np.packbits(planes.T).tobytes())
+    deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED,
+                                _DEFLATE_WBITS, _DEFLATE_MEM_LEVEL)
+    return deflater.compress(np.packbits(planes.T).tobytes()) + deflater.flush()
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:

@@ -330,7 +330,10 @@ class TestEndToEnd:
             assert sum(not np.isnan(r.mean_loss) for r in rows) >= 2
             outputs.append(((tmp_path / f"{tag}.csv").read_bytes(),
                             (tmp_path / f"{tag}.bin").read_bytes()))
-        assert isinstance(nn.build_q_network().layers[1], OracleMaxPool2D)
+        # The oracle pool ran as conv1's pool and as both later pool layers.
+        net = nn.build_q_network()
+        assert isinstance(net.layers[0].pool, OracleMaxPool2D)
+        assert [type(layer) for layer in net.layers if layer.kind == "maxpool"] == [OracleMaxPool2D] * 2
         assert outputs[0] == outputs[1]
 
 

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from snakedqn import agent as agent_module
 from snakedqn.agent import Hyperparams, new_agent, save_agent
 from snakedqn.checkpoint import MAGIC, read_records, write_records
 from snakedqn.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -142,6 +143,24 @@ class TestExitCodes:
         write_records(path, {**read_records(path), key: value})
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
         assert f"error: {key} must be one integer" in capsys.readouterr().err
+
+    def test_eval_n_actions_past_the_head(self, tmp_path, capsys, monkeypatch):
+        # An intact file claiming 2**40 actions exits 3 before any network of
+        # that size is built.
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        write_records(path, {**read_records(path), "meta/n_actions": np.int64(2**40)})
+        build = agent_module.build_q_network
+
+        def only_four_actions(n_actions=4, dtype=np.float32):
+            if n_actions != 4:
+                raise AssertionError(f"built a network for {n_actions} actions")
+            return build(n_actions, dtype=dtype)
+
+        monkeypatch.setattr(agent_module, "build_q_network", only_four_actions)
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert "meta/n_actions 1099511627776" in capsys.readouterr().err
 
     def test_eval_record_name_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "agent.bin"

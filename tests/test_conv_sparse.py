@@ -1,5 +1,8 @@
 """Conv2D skips all-zero windows: checks against the dense im2col oracle.
 
+The first stage, a conv layer holding its pool, must match the plain layer
+followed by the reference pool byte for byte.
+
 For the production layer shapes the forward output must be bit-identical to
 the dense layer's. For the small test geometries BLAS may sum a subset of
 rows in another order than the whole matrix (numpy hands a one-row product
@@ -13,11 +16,14 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from snakedqn import nn
-from snakedqn.nn import Conv2D, QNetwork
+from snakedqn import env, nn
+from snakedqn.harness import observe
+from snakedqn.nn import Conv2D, MaxPool2D, QNetwork
+from snakedqn.preprocess import stack_init, stack_push
 
 from dense_conv import DenseConv2D
 from gradcheck import max_input_rel_error, max_param_rel_error
+from update_oracle import OracleMaxPool2D
 
 # (in_shape, in_channels, out_channels, kernel, stride): the three production
 # layers, then small geometries, most with kernel % stride == 0 at other ratios.
@@ -218,3 +224,110 @@ class TestSparseGradients:
         x = self.sparse_input(rng)
         coeffs = rng.normal(size=layer.forward(x, train=False).shape)
         assert max_input_rel_error(layer, x, coeffs, probes=120) < 1e-6
+
+
+def played_stacks(n, seed):
+    """``n`` uint8 bit stacks from random Snake play, as the replay returns them."""
+    rng = np.random.default_rng(seed)
+    state = env.reset(seed=seed)
+    stack = stack_init(observe(state))
+    stacks = []
+    while len(stacks) < n:
+        if state.done:
+            state = env.reset(seed=seed + len(stacks))
+            stack = stack_init(observe(state))
+        state, _ = env.step(state, env.ACTIONS[rng.integers(4)])
+        stack = stack_push(stack, observe(state))
+        stacks.append(stack.to_input())
+    return np.stack(stacks)
+
+
+class TestPooledStage:
+    """Conv2D with a pool against Conv2D then the reference pool, byte for byte.
+
+    Every case has bias channels below, at and above zero, so untouched pool
+    windows output 0 and relu(b) > 0, and pass the gradient on or not.
+    """
+
+    @staticmethod
+    def layers(in_c, out_c, k, s, dtype=np.float32, seed=1):
+        rng = np.random.default_rng(seed)
+        stage = Conv2D(in_c, out_c, kernel=k, stride=s, dtype=dtype, pool=MaxPool2D())
+        conv = Conv2D(in_c, out_c, kernel=k, stride=s, dtype=dtype)
+        stage.w[...] = rng.normal(size=stage.w.shape) / np.sqrt(k * k * in_c)
+        b = np.abs(rng.normal(size=out_c)) * 0.3
+        b[::3] *= -1
+        b[1::3] = 0.0
+        stage.b[...] = b
+        conv.w[...] = stage.w
+        conv.b[...] = stage.b
+        return stage, conv, OracleMaxPool2D()
+
+    @staticmethod
+    def check(stage, conv, pool, x):
+        want = pool.forward(conv.forward(x, train=False), train=False)
+        got = stage.forward(x, train=False)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        want = pool.forward(conv.forward(x, train=True), train=True)
+        got = stage.forward(x, train=True)
+        assert got.tobytes() == want.tobytes()
+        dout = np.random.default_rng(2).normal(size=got.shape).astype(got.dtype)
+        dout[..., ::4] = 0.0
+        assert stage.backward(dout, need_dx=False) is None
+        conv.backward(pool.backward(dout), need_dx=False)
+        assert stage.dw.dtype == conv.dw.dtype and stage.db.dtype == conv.db.dtype
+        assert stage.dw.tobytes() == conv.dw.tobytes()
+        assert stage.db.tobytes() == conv.db.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("cast", [False, True])
+    def test_played_stacks(self, n, cast):
+        x = played_stacks(n, seed=n)
+        self.check(*self.layers(4, 32, 8, 4), x.astype(np.float32) if cast else x)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_all_zero_input(self, n):
+        stage, conv, pool = self.layers(4, 32, 8, 4)
+        self.check(stage, conv, pool, np.zeros((n, 84, 84, 4), dtype=np.uint8))
+        floor = np.maximum(stage.b, 0)
+        assert (stage.forward(np.zeros((n, 84, 84, 4), dtype=np.uint8), train=False) == floor).all()
+
+    @pytest.mark.parametrize("corner", [(0, 0), (83, 83), (83, 0)])
+    def test_single_active_window(self, corner):
+        x = np.zeros((2, 84, 84, 4), dtype=np.uint8)
+        x[1, corner[0], corner[1], 3] = 1
+        stage, conv, pool = self.layers(4, 32, 8, 4)
+        active = (conv.forward(x, train=False) != np.maximum(conv.b, 0)).any(axis=-1)
+        assert active.sum() == 1
+        self.check(stage, conv, pool, x)
+
+    @pytest.mark.parametrize("density", [0.05, 1.0])
+    def test_all_active_float64(self, density):
+        # The benchmark's float64 Q check sends 5%-dense float64 stacks to a
+        # float64 network, which makes every conv1 window active.
+        x = (np.random.default_rng(3).random((4, 84, 84, 4)) < density).astype(np.float64)
+        self.check(*self.layers(4, 32, 8, 4, dtype=np.float64), x)
+
+    @pytest.mark.parametrize("shape", [(84, 84), (80, 84), (84, 80), (80, 80)])
+    def test_odd_and_even_conv_outputs(self, shape):
+        # 84 gives a 21-row conv output (pool pads one row), 80 gives 20.
+        x = played_stacks(6, seed=4)[:, : shape[0], : shape[1]]
+        self.check(*self.layers(4, 32, 8, 4), x)
+
+    @pytest.mark.parametrize("g", range(PRODUCTION, len(GEOMETRIES)))
+    @pytest.mark.parametrize("kind", ["pixel", "3%", "50%"])
+    def test_small_geometries(self, g, kind):
+        shape, in_c, out_c, k, s = GEOMETRIES[g]
+        x = binary_batch(kind, 3, shape, in_c).astype(np.uint8)
+        self.check(*self.layers(in_c, out_c, k, s), x)
+
+    def test_returns_no_input_gradient(self):
+        stage, _, _ = self.layers(4, 32, 8, 4)
+        out = stage.forward(played_stacks(2, seed=5), train=True)
+        with pytest.raises(ValueError, match="no input gradient"):
+            stage.backward(np.ones_like(out))
+
+    def test_pool_needs_relu(self):
+        with pytest.raises(ValueError, match="ReLU"):
+            Conv2D(4, 32, kernel=8, stride=4, relu=False, pool=MaxPool2D())

@@ -49,13 +49,22 @@ def reduced_net(dtype=np.float64):
 
 class TestShapes:
     def test_trace_matches_architecture_table(self):
+        # The first layer is conv1 with pool1 inside it: trace the two apart.
         net = fresh_net()
         x = np.zeros((1, 84, 84, 4), dtype=np.float32)
-        shapes = []
-        for layer in net.layers:
+        stage = net.layers[0]
+        conv1 = Conv2D(stage.in_channels, stage.out_channels, stage.kernel, stage.stride)
+        h = conv1.forward(x, train=False)
+        shapes = [h.shape[1:], stage.pool.forward(h, train=False).shape[1:]]
+        x = stage.forward(x, train=False)
+        assert x.shape[1:] == shapes[-1]
+        for layer in net.layers[1:]:
             x = layer.forward(x, train=False)
             shapes.append(x.shape[1:])
         assert shapes == PRODUCTION_TRACE
+        assert [layer.name for layer in net.layers] == [
+            "conv1", "conv2", "maxpool1", "batchnorm1", "conv3", "maxpool2", "batchnorm2",
+            "flatten1", "dense1", "dense2", "dense3"]
 
     def test_wrong_input_shape_rejected(self):
         net = fresh_net()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from snakedqn.nn import build_q_network
 from snakedqn.optim import AdamState, adam_step, clip_global_norm, global_norm
 
 from update_oracle import oracle_adam_step
@@ -48,6 +49,29 @@ class TestClip:
         grads = {"g": np.full(3, 4.0, dtype=np.float32)}
         out = clip_global_norm(grads, 1.0)
         assert out["g"].dtype == np.float32
+
+
+class TestGlobalNormOracle:
+    """The norm is bit for bit the sum of float64 copies squared, array by array."""
+
+    SHAPES = [p.shape for p in build_q_network(4).params().values()]
+
+    @staticmethod
+    def copy_and_square(grads):
+        total = 0.0
+        for g in grads.values():
+            total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+        return float(np.sqrt(total))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("magnitude", [1e-4, 1e-2, 1.0, 10.0])
+    def test_production_shaped_gradients(self, dtype, magnitude):
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            grads = {str(i): (magnitude * rng.standard_normal(shape)).astype(dtype)
+                     for i, shape in enumerate(self.SHAPES)}
+            got = np.float64(global_norm(grads)).tobytes()
+            assert got == np.float64(self.copy_and_square(grads)).tobytes()
 
 
 class TestAdam:

@@ -1,12 +1,15 @@
 """Frame-ring replay: eviction order, uniform sampling, byte accounting,
 and agreement with the list oracle."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snakedqn.preprocess import BinaryFrame, FrameStack, PixelFormat, stack_init, stack_push
+from snakedqn.preprocess import (FRAME_SIDE, PACKED_BYTES, BinaryFrame, FrameStack, PixelFormat,
+                                 stack_init, stack_push)
 from snakedqn.replay import (
     FRAMES_PER_EXPERIENCE,
     Experience,
@@ -191,3 +194,24 @@ class TestLiveBytes:
         buf, oracle, _ = tagged(cap + 50, cap=cap)
         assert oracle.live_bytes() <= cap * 8 * 882
         assert buf.nbytes <= cap * 882
+
+
+class TestDeflate:
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.2, 0.5, 1.0])
+    def test_small_state_deflates_as_small(self, density):
+        """A ring row inflates to the bit-planar frame, and its smaller deflate
+        state costs at most a byte over zlib's defaults, on any density."""
+        bits = np.random.default_rng(3).random((FRAME_SIDE, FRAME_SIDE)) < density
+        frame = BinaryFrame.from_array(bits.astype(np.uint8))
+        packed = np.packbits(frame.to_array().reshape(8, PACKED_BYTES).T).tobytes()
+        row = _deflate(frame)
+        assert zlib.decompress(row) == packed
+        assert len(row) <= len(zlib.compress(packed)) + 1
+
+    def test_episode_rows_as_small(self):
+        exps = episodes([40])
+        frames = [exps[0].state.frames[0]] + [e.next_state.frames[-1] for e in exps]
+        packed = [np.packbits(f.to_array().reshape(8, PACKED_BYTES).T).tobytes() for f in frames]
+        rows = [_deflate(f) for f in frames]
+        assert [zlib.decompress(r) for r in rows] == packed
+        assert sum(map(len, rows)) <= sum(len(zlib.compress(p)) for p in packed) + len(rows) // 8
