@@ -98,6 +98,8 @@ def read_records(path) -> dict[str, np.ndarray]:
             name = rd.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"record name is not utf-8: {exc}") from None
+        if name in records:
+            raise CheckpointError(f"record {name!r} appears twice")
         code, rank = rd.unpack("<BB")
         if code not in _CODE_TO_DTYPE:
             raise CheckpointError(f"unknown dtype code {code}")

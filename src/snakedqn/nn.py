@@ -10,10 +10,13 @@ pad half before and the larger half after.
 The network's first layer takes the replay's uint8 0/1 bit stacks as they
 are; any other input dtype is cast to the network's. A convolution window
 whose (zero-padded) input is all zeros outputs exactly the bias (then ReLU)
-and adds nothing to the weight gradient, so conv layers build im2col rows
-and multiply only for windows that hold a nonzero value (NaN counts as
-nonzero). Binarized frames are mostly zeros, which makes the first layer's
-GEMM about a tenth of its dense size.
+and adds nothing to the weight gradient. Only the first stage (below) uses
+that: it builds im2col rows and multiplies only for windows that hold a
+nonzero value (NaN counts as nonzero). Binarized frames are mostly zeros,
+which makes conv1's GEMM about a tenth of its dense size. The later conv
+layers read pool outputs, which are ``relu(b)`` wherever conv1 saw nothing,
+so once any conv1 bias is above zero all their windows hold a nonzero; they
+build every im2col row.
 
 Max pooling (2x2, stride 2) reads an ``(n, h, w, c)`` input as
 ``(n, oh, 2, ow, 2, c)``, so its four window taps are strided views and no
@@ -109,28 +112,23 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """Same-padded convolution as a GEMM over the windows that hold a nonzero.
+    """Same-padded convolution as one GEMM over its im2col rows.
 
-    Forward gathers the im2col rows of the active windows only, multiplies
-    them by the weights and scatters the result; every other output row is
-    exactly ``b`` (then ReLU). Backward takes ``dw`` over the active rows and
-    ``db`` and ``dx`` over all rows. Windows are tested per stride-sized
-    block when ``kernel % stride == 0``; otherwise every window counts as
-    active. When every window is active, the im2col matrix is one contiguous
-    copy of the window view and the product is the output. Outputs equal the
-    dense layer's up to the order in which BLAS sums each row.
+    Forward copies the window view into one contiguous im2col matrix and
+    multiplies it by the weights; backward takes ``dw``, ``db`` and ``dx``
+    over every row. Padding runs in the input's dtype, so an integer input
+    (the uint8 bit stacks) is padded as bytes; only the im2col copy casts,
+    to the dtype the input and weights promote to. Backward adds ``dcols``
+    into ``dx`` one stride-sized block of taps at a time,
+    ``ceil(kernel / stride)**2`` adds, in the same per-element order as one
+    add per tap.
 
-    Padding and the window test run in the input's dtype, so an integer
-    input (the uint8 bit stacks) is padded as bytes; only the gathered
-    im2col rows are cast, to the dtype the input and weights promote to.
-    Backward adds ``dcols`` into ``dx`` one stride-sized block of taps at a
-    time, ``ceil(kernel / stride)**2`` adds, in the same per-element order
-    as one add per tap.
-
-    Given a ``pool``, the layer is a network's first stage: convolution,
-    ReLU, then that 2x2 max pool, computed over the pool windows that hold
-    an active row (see ``_pooled_forward``). It always gathers its rows by
-    index, and returns no input gradient.
+    Given a ``pool``, the layer is a network's first stage and the only
+    convolution that skips zero windows: it gathers the im2col rows of the
+    windows that hold a nonzero, then applies ReLU and that 2x2 max pool
+    over the pool windows an active row reaches (see ``_pooled_forward``).
+    Its windows are tested per stride-sized block, so its kernel must be a
+    multiple of its stride. Its backward returns no input gradient.
     """
 
     kind = "conv"
@@ -141,6 +139,8 @@ class Conv2D(Layer):
                  pool: MaxPool2D | None = None):
         if pool is not None and not relu:
             raise ValueError("a pooled conv stage applies ReLU before the pool")
+        if pool is not None and kernel % stride:
+            raise ValueError("a pooled conv stage needs a kernel that tiles into strides")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -157,15 +157,12 @@ class Conv2D(Layer):
     def _active_windows(self, xp, oh, ow):
         """(n, oh, ow) mask of the windows whose padded input holds a nonzero.
 
-        With ``kernel % stride == 0`` the padded input tiles into
-        stride-sized blocks and each window covers ``(kernel / stride)**2`` of
-        them, so the test runs once per block, then ORs neighbouring blocks.
-        Other geometries count every window as active.
+        The padded input tiles into stride-sized blocks and each window
+        covers ``(kernel / stride)**2`` of them, so the test runs once per
+        block, then ORs neighbouring blocks.
         """
         n, hp, wp, _ = xp.shape
         k, s = self.kernel, self.stride
-        if k % s:
-            return np.ones((n, oh, ow), dtype=bool)
         # An integer value is nonzero iff one of its bytes is: test the bytes.
         nz = xp.view(np.uint8) if xp.dtype.kind in "biu" else (xp != 0).view(np.uint8)
         c = nz.shape[-1]
@@ -191,41 +188,32 @@ class Conv2D(Layer):
         oh, pt, pb = same_pad(h, k, s)
         ow, pl, pr = same_pad(w, k, s)
         xp = pad_spatial(x, pt, pb, pl, pr)
-        active = self._active_windows(xp, oh, ow)
-        dense = self.pool is None and bool(active.all())
         # The (n, oh, ow, kh, kw, c) windows as a strided view: (kh, kw, c) runs
-        # match the weight layout, so the gathered rows multiply it directly.
+        # match the weight layout, so the im2col rows multiply it directly.
         # (The constructor checks the view against xp's bounds and costs
         # about a microsecond; sliding_window_view costs about 20.)
         sn, sh, sw, sc = xp.strides
         win = np.ndarray((n, oh, ow, k, k, c), xp.dtype, xp, 0, (sn, s * sh, s * sw, sh, sw, sc))
         dtype = np.result_type(x.dtype, self.w.dtype)
-        if dense:  # one contiguous copy beats gathering every window by index
+        if self.pool is not None:
+            ni, ii, jj = np.nonzero(self._active_windows(xp, oh, ow))
+            cols = win[ni, ii, jj].reshape(len(ni), k * k * c).astype(dtype, copy=False)
+        else:
             cols = np.empty((n * oh * ow, k * k * c), dtype=dtype)
             cols.reshape(win.shape)[...] = win
-        else:
-            ni, ii, jj = np.nonzero(active)
-            cols = win[ni, ii, jj].reshape(len(ni), k * k * c).astype(dtype, copy=False)
         del xp, win  # the padded input is dead; free it before the GEMM
         prod = cols @ self.w.reshape(k * k * c, self.out_channels)
         prod += self.b
         if self.pool is not None:
             return self._pooled_forward(cols, prod, (ni, ii, jj), (n, oh, ow), train)
-        if dense:
-            out, rows = prod, slice(None)
-        else:
-            rows = (ni * oh + ii) * ow + jj
-            out = np.empty((n * oh * ow, self.out_channels), dtype=prod.dtype)
-            out[...] = self.b
-            out[rows] = prod
-        out = out.reshape(n, oh, ow, self.out_channels)
+        out = prod.reshape(n, oh, ow, self.out_channels)
         if self.relu:
             mask = out > 0 if train else None
             np.maximum(out, 0, out=out)
         else:
             mask = None
         if train:
-            self._cache = (cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl))
+            self._cache = (cols, mask, (n, h, w, c), (oh, ow), (pt, pl))
         return out
 
     def _pooled_forward(self, cols, prod, active, conv_shape, train):
@@ -269,21 +257,17 @@ class Conv2D(Layer):
             self._cache = (cols, taps, mask, touched, (n, ph, pw))
         return out.reshape(n, ph, pw, c)
 
-    def backward(self, dout, need_dx: bool = True):
+    def backward(self, dout):
         if self.pool is not None:
-            if need_dx:
-                raise ValueError(f"{self.name}: a pooled conv stage returns no input gradient")
             return self._pooled_backward(dout)
-        cols, rows, mask, (n, h, w, c), (oh, ow), (pt, pl) = self._take_cache()
+        cols, mask, (n, h, w, c), (oh, ow), (pt, pl) = self._take_cache()
         k, s = self.kernel, self.stride
         if mask is not None:
             dout = dout * mask
         dmat = dout.reshape(n * oh * ow, self.out_channels)
         wmat = self.w.reshape(k * k * c, self.out_channels)
-        self.dw = (cols.T @ dmat[rows]).reshape(self.w.shape)
+        self.dw = (cols.T @ dmat).reshape(self.w.shape)
         self.db = dmat.sum(axis=0)
-        if not need_dx:
-            return None
         dcols = (dmat @ wmat.T).reshape(n, oh, ow, k, k, c)
         # Tap (i, j) = (bi*s + ri, bj*s + rj) of window (oy, ox) lands on
         # padded pixel ((oy + bi)*s + ri, (ox + bj)*s + rj). So dx, viewed as
@@ -519,11 +503,8 @@ class QNetwork:
 
     def backward(self, dout: np.ndarray) -> dict[str, np.ndarray]:
         d = np.asarray(dout, dtype=self.dtype)
-        for i, layer in reversed(list(enumerate(self.layers))):
-            if i == 0 and isinstance(layer, Conv2D):
-                layer.backward(d, need_dx=False)  # nothing consumes dx below
-            else:
-                d = layer.backward(d)
+        for layer in reversed(self.layers):
+            d = layer.backward(d)
         return self.gradients()
 
     def _walk(self, with_saved: bool, prefix: str) -> dict[str, np.ndarray]:

@@ -1,9 +1,9 @@
 """Reference dense im2col convolution (test-side oracle for ``nn.Conv2D``).
 
-This is the layer as it was before it skipped zero windows: it builds the
-im2col row of every output window and multiplies all of them. The sparse
-layer must give bit-identical forward outputs and the same gradients up to
-summation order.
+This is the layer as it was before any conv skipped zero windows: it builds
+the im2col rows with ``np.pad`` and ``sliding_window_view``, multiplies all
+of them, and adds ``dx`` one tap at a time. A plain ``Conv2D`` (one without
+a pool) must give the same output, ``dw``, ``db`` and ``dx`` byte for byte.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ class DenseConv2D(Conv2D):
             self._cache = (cols, mask, (n, h, w, c), (oh, ow), pads, padded)
         return out
 
-    def backward(self, dout, need_dx: bool = True):
+    def backward(self, dout):
         cols, mask, (n, h, w, c), (oh, ow), (pt, pl), (hp, wp) = self._take_cache()
         k, s = self.kernel, self.stride
         if mask is not None:
@@ -49,8 +49,6 @@ class DenseConv2D(Conv2D):
         wmat = self.w.reshape(k * k * c, self.out_channels)
         self.dw = (cols.T @ dmat).reshape(self.w.shape)
         self.db = dmat.sum(axis=0)
-        if not need_dx:
-            return None
         dcols = (dmat @ wmat.T).reshape(n, oh, ow, k, k, c)
         dxp = np.zeros((n, hp, wp, c), dtype=dout.dtype)
         for i in range(k):

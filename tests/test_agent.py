@@ -23,6 +23,7 @@ from snakedqn.nn import Dense, Flatten, QNetwork
 from snakedqn.preprocess import BinaryFrame, FrameStack
 from snakedqn.replay import Experience, ReplayBuffer
 
+from dense_conv import DenseConv2D
 from replay_oracle import _batch_inputs, episodes, oracle_batch
 from update_oracle import OracleMaxPool2D, oracle_adam_step
 
@@ -309,32 +310,57 @@ class TestHyperparams:
 
 
 class TestEndToEnd:
+    @staticmethod
+    def seeded_run(tmp_path, tag):
+        """CSV and checkpoint bytes of a seeded 320-frame learning run."""
+        hp = Hyperparams(random_frames=128, eps_greedy_frames=192, target_sync_every=64)
+        config = harness.TrainConfig(
+            hp=hp, episodes=1_000, seed=11, max_frames=320, checkpoint_every=4,
+            metrics_path=str(tmp_path / f"{tag}.csv"),
+            checkpoint_path=str(tmp_path / f"{tag}.bin"))
+        rows = harness.train(config)
+        assert sum(not np.isnan(r.mean_loss) for r in rows) >= 2
+        return (tmp_path / f"{tag}.csv").read_bytes(), (tmp_path / f"{tag}.bin").read_bytes()
+
     def test_train_matches_update_oracle(self, tmp_path, monkeypatch):
         """A seeded learning run gives the same bytes with the oracle update step:
         the reference max-pool and Adam, and batches cast to float before the
         network sees them."""
-        hp = Hyperparams(random_frames=128, eps_greedy_frames=192, target_sync_every=64)
-        outputs = []
-        for tag in ("lean", "oracle"):
-            if tag == "oracle":
-                forward = nn.QNetwork.forward
-                monkeypatch.setattr(nn, "MaxPool2D", OracleMaxPool2D)
-                monkeypatch.setattr(agent_module, "adam_step", oracle_adam_step)
-                monkeypatch.setattr(nn.QNetwork, "forward", lambda net, x, train=False:
-                                    forward(net, np.asarray(x, dtype=net.dtype), train))
-            config = harness.TrainConfig(
-                hp=hp, episodes=1_000, seed=11, max_frames=320, checkpoint_every=4,
-                metrics_path=str(tmp_path / f"{tag}.csv"),
-                checkpoint_path=str(tmp_path / f"{tag}.bin"))
-            rows = harness.train(config)
-            assert sum(not np.isnan(r.mean_loss) for r in rows) >= 2
-            outputs.append(((tmp_path / f"{tag}.csv").read_bytes(),
-                            (tmp_path / f"{tag}.bin").read_bytes()))
+        lean = self.seeded_run(tmp_path, "lean")
+        forward = nn.QNetwork.forward
+        monkeypatch.setattr(nn, "MaxPool2D", OracleMaxPool2D)
+        monkeypatch.setattr(agent_module, "adam_step", oracle_adam_step)
+        monkeypatch.setattr(nn.QNetwork, "forward", lambda net, x, train=False:
+                            forward(net, np.asarray(x, dtype=net.dtype), train))
+        oracle = self.seeded_run(tmp_path, "oracle")
         # The oracle pool ran as conv1's pool and as both later pool layers.
         net = nn.build_q_network()
         assert isinstance(net.layers[0].pool, OracleMaxPool2D)
         assert [type(layer) for layer in net.layers if layer.kind == "maxpool"] == [OracleMaxPool2D] * 2
-        assert outputs[0] == outputs[1]
+        assert lean == oracle
+
+    def test_train_matches_dense_oracle(self, tmp_path, monkeypatch):
+        """A seeded learning run gives the same bytes with the dense im2col
+        oracle in place of every conv layer after the first stage."""
+        build = agent_module.build_q_network
+
+        def dense_after_stage(n_actions=4, dtype=np.float32):
+            net = build(n_actions, dtype=dtype)
+            for i, layer in enumerate(net.layers):
+                if isinstance(layer, nn.Conv2D) and layer.pool is None:
+                    dense = DenseConv2D(layer.in_channels, layer.out_channels, layer.kernel,
+                                        layer.stride, relu=layer.relu, dtype=dtype)
+                    dense.name = layer.name
+                    net.layers[i] = dense
+            return net
+
+        lean = self.seeded_run(tmp_path, "lean")
+        monkeypatch.setattr(agent_module, "build_q_network", dense_after_stage)
+        oracle = self.seeded_run(tmp_path, "oracle")
+        net = dense_after_stage()
+        assert [type(layer) for layer in net.layers if layer.kind == "conv"] == [
+            nn.Conv2D, DenseConv2D, DenseConv2D]
+        assert lean == oracle
 
 
 class TestEvaluate:

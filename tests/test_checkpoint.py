@@ -119,6 +119,15 @@ class TestRecordContainer:
         assert read_records(path)["x"].tolist() == [2.0, 2.0, 2.0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
 
+    def test_repeated_name_rejected(self, tmp_path):
+        # Intact (the CRC holds), but "a" is declared twice.
+        payload = struct.pack("<I", 2) + b"".join(
+            checkpoint._encode_record("a", np.full(2, v, dtype=np.float32)) for v in (1.0, 2.0))
+        path = tmp_path / "c.bin"
+        path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CheckpointError, match="'a' appears twice"):
+            read_records(path)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"hello world, definitely not tensors")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from snakedqn import agent as agent_module
+from snakedqn import checkpoint
 from snakedqn.agent import Hyperparams, new_agent, save_agent
 from snakedqn.checkpoint import MAGIC, read_records, write_records
 from snakedqn.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -161,6 +162,19 @@ class TestExitCodes:
         monkeypatch.setattr(agent_module, "build_q_network", only_four_actions)
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
         assert "meta/n_actions 1099511627776" in capsys.readouterr().err
+
+    def test_eval_repeated_record(self, tmp_path, capsys):
+        # An intact file that declares frame_count a second time exits 3.
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        blob = path.read_bytes()
+        (count,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+        payload = (struct.pack("<I", count + 1) + blob[len(MAGIC) + 4 : -4]
+                   + checkpoint._encode_record("frame_count", np.int64(5)))
+        path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert "'frame_count' appears twice" in capsys.readouterr().err
 
     def test_eval_record_name_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "agent.bin"

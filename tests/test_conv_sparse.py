@@ -1,15 +1,11 @@
-"""Conv2D skips all-zero windows: checks against the dense im2col oracle.
+"""Only the first stage skips all-zero windows: checks against exact oracles.
 
-The first stage, a conv layer holding its pool, must match the plain layer
-followed by the reference pool byte for byte.
-
-For the production layer shapes the forward output must be bit-identical to
-the dense layer's. For the small test geometries BLAS may sum a subset of
-rows in another order than the whole matrix (numpy hands a one-row product
-to gemv, and OpenBLAS's kernels for tiny matrices differ), so there it must
-match to the dtype's tolerance. ``dw`` sums over fewer rows and matches up
-to summation order; ``db`` and ``dx`` do not depend on the skipped rows'
-inputs and match exactly.
+A plain ``Conv2D`` builds every im2col row, so it must equal the dense
+im2col oracle byte for byte on every geometry: output, ``dw``, ``db`` and
+``dx``. The first stage, a conv layer holding its pool, gathers only the
+windows that hold a nonzero. It must match the plain layer followed by the
+reference pool byte for byte, with ``dw`` summed over the active rows only,
+and its window test must match a brute-force test of every window.
 """
 
 import numpy as np
@@ -37,8 +33,7 @@ GEOMETRIES = [
     ((10, 10), 1, 2, 4, 4),
     ((8, 7), 2, 3, 2, 3),
 ]
-
-RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+KINDS = ["zeros", "pixel", "corner", "3%", "50%", "ones"]
 
 
 def binary_batch(kind, n, shape, channels, seed=0):
@@ -52,98 +47,70 @@ def binary_batch(kind, n, shape, channels, seed=0):
         x = np.zeros(full)
         x[n - 1, shape[0] // 2, shape[1] - 1, channels - 1] = 1.0
         return x
+    if kind == "corner":  # the first sample's first pixel: one active conv1 window
+        x = np.zeros(full)
+        x[0, 0, 0, 0] = 1.0
+        return x
     density = {"3%": 0.03, "50%": 0.5}[kind]
     return (rng.random(full) < density).astype(np.float64)
 
 
 def layer_pair(in_c, out_c, k, s, relu, dtype, seed=1):
     rng = np.random.default_rng(seed)
-    sparse = Conv2D(in_c, out_c, kernel=k, stride=s, relu=relu, dtype=dtype)
+    conv = Conv2D(in_c, out_c, kernel=k, stride=s, relu=relu, dtype=dtype)
     dense = DenseConv2D(in_c, out_c, kernel=k, stride=s, relu=relu, dtype=dtype)
-    sparse.w[...] = rng.normal(size=sparse.w.shape) / np.sqrt(k * k * in_c)
-    sparse.b[...] = rng.normal(size=sparse.b.shape)
-    dense.w[...] = sparse.w
-    dense.b[...] = sparse.b
-    return sparse, dense
+    conv.w[...] = rng.normal(size=conv.w.shape) / np.sqrt(k * k * in_c)
+    conv.b[...] = rng.normal(size=conv.b.shape)
+    dense.w[...] = conv.w
+    dense.b[...] = conv.b
+    return conv, dense
 
 
-def assert_close(got, want, rtol):
-    scale = max(float(np.abs(want).max(initial=0.0)), 1e-30)
-    assert float(np.abs(got - want).max(initial=0.0)) <= rtol * scale
-
-
-def compare(sparse, dense, x, dtype, exact=True):
-    """Forward bit-identical (or within tolerance); dw, db within tolerance; dx exact."""
+def compare(conv, dense, x, dtype):
+    """Output, dw, db and dx byte for byte."""
     x = x.astype(dtype)
-    out = sparse.forward(x, train=True)
+    out = conv.forward(x, train=True)
     want = dense.forward(x, train=True)
     assert out.dtype == want.dtype and out.shape == want.shape
-    if exact:
-        assert out.tobytes() == want.tobytes()
-    else:
-        assert_close(out, want, RTOL[dtype])
+    assert out.tobytes() == want.tobytes()
     dout = np.random.default_rng(2).normal(size=out.shape).astype(dtype)
-    if not exact and sparse.relu:
-        dout[(out > 0) != (want > 0)] = 0  # a rounding-level flip of the ReLU mask
-    dx = sparse.backward(dout)
+    dx = conv.backward(dout)
     dx_want = dense.backward(dout)
-    assert_close(sparse.dw, dense.dw, RTOL[dtype])
-    assert_close(sparse.db, dense.db, RTOL[dtype])
-    assert dx.tobytes() == dx_want.tobytes()
+    for got, ref in ((conv.dw, dense.dw), (conv.db, dense.db), (dx, dx_want)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestAgainstDenseOracle:
-    @pytest.mark.parametrize("kind", ["zeros", "pixel", "3%", "50%", "ones"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 32])
     @pytest.mark.parametrize("relu", [True, False])
     def test_conv1_binary_batches_float32(self, kind, n, relu):
         shape, in_c, out_c, k, s = GEOMETRIES[0]
-        sparse, dense = layer_pair(in_c, out_c, k, s, relu, np.float32)
-        compare(sparse, dense, binary_batch(kind, n, shape, in_c), np.float32)
+        conv, dense = layer_pair(in_c, out_c, k, s, relu, np.float32)
+        compare(conv, dense, binary_batch(kind, n, shape, in_c), np.float32)
 
     @pytest.mark.parametrize("g", range(len(GEOMETRIES)))
-    @pytest.mark.parametrize("kind", ["zeros", "pixel", "3%", "50%", "ones"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_geometries_binary(self, g, kind):
         shape, in_c, out_c, k, s = GEOMETRIES[g]
-        sparse, dense = layer_pair(in_c, out_c, k, s, True, np.float32)
-        compare(sparse, dense, binary_batch(kind, 3, shape, in_c), np.float32,
-                exact=g < PRODUCTION)
+        conv, dense = layer_pair(in_c, out_c, k, s, True, np.float32)
+        compare(conv, dense, binary_batch(kind, 3, shape, in_c), np.float32)
 
     @pytest.mark.parametrize("g", range(len(GEOMETRIES)))
     def test_dense_float64_inputs(self, g):
         shape, in_c, out_c, k, s = GEOMETRIES[g]
-        sparse, dense = layer_pair(in_c, out_c, k, s, True, np.float64)
+        conv, dense = layer_pair(in_c, out_c, k, s, True, np.float64)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, *shape, in_c))
         x[0] = 0.0  # one all-zero sample among dense ones
-        compare(sparse, dense, x, np.float64, exact=g < PRODUCTION)
-
-    def test_nan_input_counts_as_active(self):
-        shape, in_c, out_c, k, s = GEOMETRIES[0]
-        sparse, dense = layer_pair(in_c, out_c, k, s, False, np.float32)
-        x = np.zeros((2, *shape, in_c), dtype=np.float32)
-        x[1, 40, 41, 2] = np.nan
-        out = sparse.forward(x, train=False)
-        want = dense.forward(x, train=False)
-        assert np.isnan(out).sum() == np.isnan(want).sum() > 0
-        np.testing.assert_array_equal(out, want)
-
-    def test_single_active_window(self):
-        # One active row: numpy sends a one-row product to gemv, whose sum
-        # order may differ from the dense layer's gemm by rounding.
-        shape, in_c, out_c, k, s = GEOMETRIES[0]
-        sparse, dense = layer_pair(in_c, out_c, k, s, True, np.float32)
-        x = np.zeros((1, *shape, in_c), dtype=np.float32)
-        x[0, 0, 0, 0] = 1.0
-        out = sparse.forward(x, train=False)
-        assert np.count_nonzero((out != np.maximum(sparse.b, 0)).any(axis=-1)) == 1
-        compare(sparse, dense, x, np.float32, exact=False)
+        compare(conv, dense, x, np.float64)
 
     def test_zero_windows_output_the_bias(self):
         shape, in_c, out_c, k, s = GEOMETRIES[0]
-        sparse, _ = layer_pair(in_c, out_c, k, s, False, np.float32)
-        out = sparse.forward(np.zeros((2, *shape, in_c), dtype=np.float32), train=False)
-        assert (out == sparse.b).all()
+        conv, _ = layer_pair(in_c, out_c, k, s, False, np.float32)
+        out = conv.forward(np.zeros((2, *shape, in_c), dtype=np.float32), train=False)
+        assert (out == conv.b).all()
 
 
 class TestIntegerInput:
@@ -159,13 +126,13 @@ class TestIntegerInput:
         self.check(layer, x, dtype)
 
     def test_wide_integers_test_every_byte(self):
-        # 256 is nonzero only in its high byte, -1 in every byte.
-        shape, in_c, out_c, k, s = GEOMETRIES[0]
-        layer, _ = layer_pair(in_c, out_c, k, s, True, np.float32)
-        x = np.zeros((2, *shape, in_c), dtype=np.int16)
+        # The stage tests windows by their bytes. 256 is nonzero only in its
+        # high byte, -1 in every byte.
+        stage, _, _ = TestPooledStage.layers(4, 32, 8, 4)
+        x = np.zeros((2, 84, 84, 4), dtype=np.int16)
         x[0, 40, 41, 2] = 256
         x[1, 3, 80, 0] = -1
-        self.check(layer, x, np.float32)
+        self.check(stage, x, np.float32)
 
     @staticmethod
     def check(layer, x, dtype):
@@ -174,7 +141,7 @@ class TestIntegerInput:
             out = layer.forward(inp, train=True)
             dout = np.random.default_rng(2).normal(size=out.shape).astype(dtype)
             dx = layer.backward(dout)
-            results.append([a.tobytes() for a in (out, layer.dw, layer.db, dx)])
+            results.append([a.tobytes() for a in (out, layer.dw, layer.db, dx) if a is not None])
             assert out.dtype == layer.dw.dtype == dtype
         assert results[0] == results[1]
 
@@ -184,21 +151,24 @@ class TestActiveWindows:
     @pytest.mark.parametrize("kind", ["pixel", "3%", "50%"])
     def test_matches_brute_force(self, geometry, kind):
         (h, w), in_c, out_c, k, s = geometry
-        layer = Conv2D(in_c, out_c, kernel=k, stride=s)
+        if k % s:  # blocks of stride size cannot cover the window: no stage
+            with pytest.raises(ValueError, match="tiles into strides"):
+                Conv2D(in_c, out_c, kernel=k, stride=s, pool=MaxPool2D())
+            return
+        stage = Conv2D(in_c, out_c, kernel=k, stride=s, pool=MaxPool2D())
         x = binary_batch(kind, 2, (h, w), in_c, seed=5).astype(np.float32)
         oh, pt, pb = nn.same_pad(h, k, s)
         ow, pl, pr = nn.same_pad(w, k, s)
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        active = layer._active_windows(xp, oh, ow)
-        if k % s:
-            assert active.all()
-        else:
-            win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-            assert np.array_equal(active, (win != 0).any(axis=(3, 4, 5)))
+        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        assert np.array_equal(stage._active_windows(xp, oh, ow), (win != 0).any(axis=(3, 4, 5)))
 
 
 class TestSparseGradients:
-    """Finite differences on inputs with all-zero windows, kernel % stride == 0."""
+    """Finite differences on inputs with all-zero windows (kernel % stride == 0).
+
+    The stage's parameter gradients, and the plain layer's input gradient.
+    """
 
     def sparse_input(self, rng):
         x = rng.normal(size=(2, 9, 9, 2))
@@ -208,7 +178,7 @@ class TestSparseGradients:
 
     def test_param_gradients(self):
         rng = np.random.default_rng(7)
-        layer = Conv2D(2, 3, kernel=4, stride=2, relu=True, dtype=np.float64)
+        layer = Conv2D(2, 3, kernel=4, stride=2, relu=True, dtype=np.float64, pool=MaxPool2D())
         net = QNetwork([layer], dtype=np.float64)
         nn.init_weights(net, rng)
         layer.b[...] = rng.normal(size=layer.b.shape)
@@ -269,15 +239,28 @@ class TestPooledStage:
         got = stage.forward(x, train=False)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        want = pool.forward(conv.forward(x, train=True), train=True)
+        relu_z = conv.forward(x, train=True)
+        want = pool.forward(relu_z, train=True)
         got = stage.forward(x, train=True)
         assert got.tobytes() == want.tobytes()
         dout = np.random.default_rng(2).normal(size=got.shape).astype(got.dtype)
         dout[..., ::4] = 0.0
-        assert stage.backward(dout, need_dx=False) is None
-        conv.backward(pool.backward(dout), need_dx=False)
-        assert stage.dw.dtype == conv.dw.dtype and stage.db.dtype == conv.db.dtype
-        assert stage.dw.tobytes() == conv.dw.tobytes()
+        assert stage.backward(dout) is None
+        dz = pool.backward(dout)
+        conv.backward(dz)
+        # dw over the active rows only, as the stage sums it: the rows of the
+        # windows that hold a nonzero, by a brute-force test of each window.
+        k, s, c = conv.kernel, conv.stride, conv.out_channels
+        _, pt, pb = nn.same_pad(x.shape[1], k, s)
+        _, pl, pr = nn.same_pad(x.shape[2], k, s)
+        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        rows = (win != 0).any(axis=(3, 4, 5)).reshape(-1)
+        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(rows.size, -1).astype(got.dtype)
+        g = (dz * (relu_z > 0)).reshape(-1, c)
+        dw = (cols[rows].T @ g[rows]).reshape(conv.w.shape)
+        assert stage.dw.dtype == dw.dtype and stage.db.dtype == conv.db.dtype
+        assert stage.dw.tobytes() == dw.tobytes()
         assert stage.db.tobytes() == conv.db.tobytes()
 
     @pytest.mark.parametrize("n", [1, 32])
@@ -315,18 +298,27 @@ class TestPooledStage:
         x = played_stacks(6, seed=4)[:, : shape[0], : shape[1]]
         self.check(*self.layers(4, 32, 8, 4), x)
 
-    @pytest.mark.parametrize("g", range(PRODUCTION, len(GEOMETRIES)))
+    @pytest.mark.parametrize("g", [g for g in range(PRODUCTION, len(GEOMETRIES))
+                                   if GEOMETRIES[g][3] % GEOMETRIES[g][4] == 0])
     @pytest.mark.parametrize("kind", ["pixel", "3%", "50%"])
     def test_small_geometries(self, g, kind):
         shape, in_c, out_c, k, s = GEOMETRIES[g]
         x = binary_batch(kind, 3, shape, in_c).astype(np.uint8)
         self.check(*self.layers(in_c, out_c, k, s), x)
 
+    def test_nan_input_counts_as_active(self):
+        stage, conv, pool = self.layers(4, 32, 8, 4)
+        x = np.zeros((2, 84, 84, 4), dtype=np.float32)
+        x[1, 40, 41, 2] = np.nan
+        out = stage.forward(x, train=False)
+        want = pool.forward(conv.forward(x, train=False), train=False)
+        assert np.isnan(out).sum() == np.isnan(want).sum() > 0
+        np.testing.assert_array_equal(out, want)
+
     def test_returns_no_input_gradient(self):
         stage, _, _ = self.layers(4, 32, 8, 4)
         out = stage.forward(played_stacks(2, seed=5), train=True)
-        with pytest.raises(ValueError, match="no input gradient"):
-            stage.backward(np.ones_like(out))
+        assert stage.backward(np.ones_like(out)) is None
 
     def test_pool_needs_relu(self):
         with pytest.raises(ValueError, match="ReLU"):
