@@ -5,8 +5,8 @@ from .agent import AgentState, Hyperparams, epsilon_at, load_agent, new_agent, s
 from .env import Direction, EnvState, GridConfig, StepOutcome, reset, step
 from .harness import EvalResult, TrainConfig, evaluate, memreport_text, train
 from .nn import QNetwork, build_q_network
-from .preprocess import BinaryFrame, FrameStack, PixelFormat, frame_bytes
-from .replay import Experience, ReplayBuffer, memory_report
+from .preprocess import BinaryFrame, FrameStack
+from .replay import Experience, ReplayBuffer
 
 __all__ = [
     "AgentState",
@@ -18,7 +18,6 @@ __all__ = [
     "FrameStack",
     "GridConfig",
     "Hyperparams",
-    "PixelFormat",
     "QNetwork",
     "ReplayBuffer",
     "StepOutcome",
@@ -26,9 +25,7 @@ __all__ = [
     "build_q_network",
     "epsilon_at",
     "evaluate",
-    "frame_bytes",
     "load_agent",
-    "memory_report",
     "memreport_text",
     "new_agent",
     "reset",

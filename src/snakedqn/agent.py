@@ -142,7 +142,11 @@ def td_loss_and_gradient(batch: Batch, targets: np.ndarray,
 
 def learn_step(agent: AgentState, buffer: ReplayBuffer,
                hp: Hyperparams) -> float | None:
-    """One scheduled gradient update; returns the loss, or None off-schedule."""
+    """One scheduled gradient update; returns the loss, or None off-schedule.
+
+    Raises FloatingPointError, before any weight changes, when the loss is
+    not finite.
+    """
     if agent.frame_count < hp.random_frames:
         return None
     if agent.frame_count % hp.update_every != 0:
@@ -152,6 +156,10 @@ def learn_step(agent: AgentState, buffer: ReplayBuffer,
     batch = buffer.sample(hp.batch_size, agent.rng)
     targets = compute_targets(batch, agent.target, hp.gamma)
     loss, grads = td_loss_and_gradient(batch, targets, agent.online)
+    if not math.isfinite(loss):
+        # Stepping on it would write non-finite weights, and the next save
+        # would replace the last finite checkpoint with them.
+        raise FloatingPointError(f"TD loss is {loss} at frame {agent.frame_count}")
     grads = clip_global_norm(grads, hp.clip_norm)
     adam_step(agent.online.params(), grads, agent.adam, hp.learning_rate)
     return loss

@@ -15,6 +15,7 @@ Layout (little-endian throughout):
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import zlib
@@ -103,9 +104,10 @@ def read_records(path) -> dict[str, np.ndarray]:
         code, rank = rd.unpack("<BB")
         if code not in _CODE_TO_DTYPE:
             raise CheckpointError(f"unknown dtype code {code}")
-        shape = rd.unpack(f"<{rank}I") if rank else ()
+        shape = rd.unpack(f"<{rank}I")
         dtype = np.dtype(_CODE_TO_DTYPE[code])
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+        # In Python ints a record's size cannot wrap; a rank-0 shape's product is 1.
+        n_bytes = math.prod(shape) * dtype.itemsize
         arr = np.frombuffer(rd.take(n_bytes), dtype=dtype).reshape(shape)
         records[name] = arr.copy()
     if rd.pos != len(payload):

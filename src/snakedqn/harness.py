@@ -28,14 +28,8 @@ from .agent import (
     save_agent,
     select_action,
 )
-from .preprocess import (
-    PixelFormat,
-    binary_observation,
-    frame_bytes,
-    stack_init,
-    stack_push,
-)
-from .replay import FRAMES_PER_EXPERIENCE, Experience, ReplayBuffer, memory_report
+from .preprocess import FRAME_PIXELS, PACKED_BYTES, binary_observation, stack_init, stack_push
+from .replay import Experience, ReplayBuffer
 
 
 @dataclass
@@ -91,8 +85,9 @@ def observe(state: game.EnvState):
 
 
 def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
-                hp: Hyperparams, frame_budget: int | None = None) -> dict | None:
-    """Play one episode with learning; returns its summary dict.
+                hp: Hyperparams, episode: int,
+                frame_budget: int | None = None) -> EpisodeMetrics | None:
+    """Play one episode with learning; returns its metrics row.
 
     ``frame_budget`` caps how many frames this episode may consume; hitting
     the cap abandons the episode mid-flight and returns None.
@@ -121,13 +116,16 @@ def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
         cumulative += outcome.reward
         discounted += gamma_t * outcome.reward
         gamma_t *= hp.gamma
-    return {
-        "score": state.score,
-        "cumulative_reward": cumulative,
-        "discounted_return": discounted,
-        "steps": state.steps,
-        "mean_loss": float(np.mean(losses)) if losses else math.nan,
-    }
+    return EpisodeMetrics(
+        episode=episode,
+        score=state.score,
+        cumulative_reward=cumulative,
+        discounted_return=discounted,
+        steps=state.steps,
+        epsilon=epsilon_at(agent.frame_count, hp),
+        mean_loss=float(np.mean(losses)) if losses else math.nan,
+        frames_total=agent.frame_count,
+    )
 
 
 def train(config: TrainConfig) -> list[EpisodeMetrics]:
@@ -156,19 +154,9 @@ def train(config: TrainConfig) -> list[EpisodeMetrics]:
             budget = None
             if config.max_frames is not None:
                 budget = config.max_frames - agent.frame_count
-            summary = run_episode(state, agent, buffer, hp, frame_budget=budget)
-            if summary is None:
+            row = run_episode(state, agent, buffer, hp, episode, frame_budget=budget)
+            if row is None:
                 break
-            row = EpisodeMetrics(
-                episode=episode,
-                score=summary["score"],
-                cumulative_reward=summary["cumulative_reward"],
-                discounted_return=summary["discounted_return"],
-                steps=summary["steps"],
-                epsilon=epsilon_at(agent.frame_count, hp),
-                mean_loss=summary["mean_loss"],
-                frames_total=agent.frame_count,
-            )
             metrics.append(row)
             fh.write(row.csv_row() + "\n")
             fh.flush()
@@ -218,6 +206,22 @@ def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
     return EvalResult(scores=scores, mean=float(np.mean(scores)), best=max(scores))
 
 
+# memreport's one table: bytes per 84x84 frame in each format, the first two
+# the references its savings columns compare against.
+_FRAME_BYTES = {
+    "RGB float64": FRAME_PIXELS * 3 * 8,
+    "Gray float64": FRAME_PIXELS * 8,
+    "Binary byte": FRAME_PIXELS,
+    "Binary packed": PACKED_BYTES,
+}
+# The paper's replay accounting: 8 frames per experience (4 state and 4
+# next-state frames), for million-experience RGB and gray replays against
+# its 50,000-experience binary one.
+_PAPER_EXPERIENCE_FRAMES = 8
+_PAPER_REPLAYS = (("RGB float64", 1_000_000), ("Gray float64", 1_000_000),
+                  ("Binary byte", 50_000))
+
+
 def _trunc(value: float, decimals: int) -> str:
     scale = 10**decimals
     return f"{math.floor(value * scale) / scale:.{decimals}f}"
@@ -228,43 +232,38 @@ def _pct(saving: float) -> str:
     return f"{text}%"
 
 
-def memreport_text() -> str:
-    """Both memory tables: per-frame sizes and replay-buffer accounting."""
-    rgb = frame_bytes(PixelFormat.RGB_FLOAT64)
-    gray = frame_bytes(PixelFormat.GRAY_FLOAT64)
-    binary = frame_bytes(PixelFormat.BINARY_BYTE)
-    packed = frame_bytes(PixelFormat.BINARY_PACKED)
-
-    lines = ["Per-frame storage (84x84 observation)"]
-    lines.append(f"{'format':<16}{'bytes':>10}{'kB':>10}{'vs RGB':>10}{'vs gray':>10}")
-    rows = [
-        ("RGB float64", rgb),
-        ("Gray float64", gray),
-        ("Binary byte", binary),
-        ("Binary packed", packed),
-    ]
+def _size_table(title: str, key: str, rows: list[tuple[str, int]], unit: str, scale: int,
+                widths: tuple[int, int]) -> list[str]:
+    """A titled table of byte sizes, each also in ``unit`` (``scale`` bytes),
+    with its savings against the first two rows. ``widths`` are the label
+    and bytes columns' widths."""
+    label_width, bytes_width = widths
+    rgb, gray = rows[0][1], rows[1][1]
+    lines = [title, f"{key:<{label_width}}{'bytes':>{bytes_width}}{unit:>10}"
+                    f"{'vs RGB':>10}{'vs gray':>10}"]
     for label, nbytes in rows:
-        vs_rgb = _pct(1 - nbytes / rgb)
         vs_gray = _pct(1 - nbytes / gray) if nbytes <= gray else "-"
-        lines.append(
-            f"{label:<16}{nbytes:>10}{_trunc(nbytes / 1024, 3):>10}{vs_rgb:>10}{vs_gray:>10}"
-        )
+        lines.append(f"{label:<{label_width}}{nbytes:>{bytes_width}}"
+                     f"{_trunc(nbytes / scale, 3):>10}{_pct(1 - nbytes / rgb):>10}{vs_gray:>10}")
+    return lines
 
-    lines.append("")
-    lines.append(f"Replay memory accounting ({FRAMES_PER_EXPERIENCE} frames per experience)")
-    lines.append(f"{'buffer':<28}{'bytes':>16}{'GB':>10}{'vs RGB':>10}{'vs gray':>10}")
-    rgb_b, rgb_gb = memory_report(1_000_000, PixelFormat.RGB_FLOAT64)
-    gray_b, gray_gb = memory_report(1_000_000, PixelFormat.GRAY_FLOAT64)
-    bin_b, bin_gb = memory_report(50_000, PixelFormat.BINARY_BYTE)
-    for label, nbytes, gb in [
-        ("RGB float64 x 1,000,000", rgb_b, rgb_gb),
-        ("Gray float64 x 1,000,000", gray_b, gray_gb),
-        ("Binary byte x 50,000", bin_b, bin_gb),
-    ]:
-        vs_rgb = _pct(1 - nbytes / rgb_b)
-        vs_gray = _pct(1 - nbytes / gray_b) if nbytes <= gray_b else "-"
-        lines.append(f"{label:<28}{nbytes:>16}{_trunc(gb, 3):>10}{vs_rgb:>10}{vs_gray:>10}")
-    return "\n".join(lines) + "\n"
+
+def memreport_text() -> str:
+    """Both memory tables: per-frame sizes and the paper's replay accounting.
+
+    The replay rows count the paper's 8 frames per experience, 4 state and 4
+    next-state frames. That is not what the ring holds: it keeps each frame
+    once, deflated, and ``ReplayBuffer.nbytes`` counts those bytes.
+    """
+    frames = _size_table("Per-frame storage (84x84 observation)", "format",
+                         list(_FRAME_BYTES.items()), unit="kB", scale=1024, widths=(16, 10))
+    replays = _size_table(
+        f"Replay memory accounting ({_PAPER_EXPERIENCE_FRAMES} frames per experience)",
+        "buffer",
+        [(f"{fmt} x {capacity:,}", capacity * _PAPER_EXPERIENCE_FRAMES * _FRAME_BYTES[fmt])
+         for fmt, capacity in _PAPER_REPLAYS],
+        unit="GB", scale=1024**3, widths=(28, 16))
+    return "\n".join(frames + [""] + replays) + "\n"
 
 
 def _scalar_type(hint):

@@ -11,16 +11,10 @@ whatever order BLAS adds in; larger factors accumulate in float64. The
 float64 grayscale -> block mean -> threshold chain this replaced lives on
 in ``tests/preprocess_oracle.py`` as the test oracle, next to an int64
 oracle of the definition above.
-
-The live representation of a processed frame is bit-packed (882 bytes for
-84x84). Byte-per-pixel sizes are kept around as an accounting mode so the
-reported numbers line up with storing one value per pixel in the replay
-memory; see :func:`frame_bytes`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +25,6 @@ PACKED_BYTES = FRAME_PIXELS // 8
 STACK_DEPTH = 4
 BINARIZE_THRESHOLD = 127.5
 LUMA_WEIGHTS = (299, 587, 114)  # BT.601, in thousandths
-
-
-class PixelFormat(enum.Enum):
-    RGB_FLOAT64 = "rgb_float64"
-    GRAY_FLOAT64 = "gray_float64"
-    BINARY_BYTE = "binary_byte"
-    BINARY_PACKED = "binary_packed"
-
-
-_BYTES_PER_FRAME = {
-    PixelFormat.RGB_FLOAT64: FRAME_PIXELS * 3 * 8,
-    PixelFormat.GRAY_FLOAT64: FRAME_PIXELS * 8,
-    PixelFormat.BINARY_BYTE: FRAME_PIXELS,
-    PixelFormat.BINARY_PACKED: PACKED_BYTES,
-}
-
-
-def frame_bytes(fmt: PixelFormat) -> int:
-    """Bytes needed to store one 84x84 frame in the given pixel format."""
-    return _BYTES_PER_FRAME[fmt]
 
 
 class BinaryFrame:
@@ -76,10 +50,6 @@ class BinaryFrame:
     @property
     def packed(self) -> bytes:
         return self._packed
-
-    @property
-    def nbytes(self) -> int:
-        return PACKED_BYTES
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryFrame) and self._packed == other._packed

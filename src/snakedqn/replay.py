@@ -23,10 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import (FRAME_SIDE, PACKED_BYTES, STACK_DEPTH, FrameStack, PixelFormat,
-                         frame_bytes)
-
-FRAMES_PER_EXPERIENCE = 8  # 4 state frames + 4 next-state frames
+from .preprocess import FRAME_SIDE, PACKED_BYTES, STACK_DEPTH, FrameStack
 
 # A sampled row decodes its state's frames plus its next frame.
 _WINDOW = STACK_DEPTH + 1
@@ -178,12 +175,3 @@ def _unpack(packed: np.ndarray) -> np.ndarray:
     # Byte c of each word is channel c: little-endian order puts it at offset c.
     bits = bits.astype("<u4", copy=False).view(np.uint8)
     return bits.reshape(n, FRAME_SIDE, FRAME_SIDE, STACK_DEPTH)
-
-
-def memory_report(capacity: int, fmt: PixelFormat) -> tuple[int, float]:
-    """Total (bytes, GiB) to hold ``capacity`` experiences of
-    FRAMES_PER_EXPERIENCE frames each in pixel format ``fmt``."""
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    total = capacity * FRAMES_PER_EXPERIENCE * frame_bytes(fmt)
-    return total, total / 1024**3

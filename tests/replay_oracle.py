@@ -50,8 +50,8 @@ class ListReplayBuffer:
         """Packed frame bytes, counting every stack slot (no sharing credit)."""
         total = 0
         for exp in self._entries:
-            total += sum(f.nbytes for f in exp.state.frames)
-            total += sum(f.nbytes for f in exp.next_state.frames)
+            total += sum(len(f.packed) for f in exp.state.frames)
+            total += sum(len(f.packed) for f in exp.next_state.frames)
         return total
 
 

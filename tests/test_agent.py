@@ -19,6 +19,7 @@ from snakedqn.agent import (
     select_action,
     td_loss_and_gradient,
 )
+from snakedqn.checkpoint import read_records
 from snakedqn.nn import Dense, Flatten, QNetwork
 from snakedqn.preprocess import BinaryFrame, FrameStack
 from snakedqn.replay import Experience, ReplayBuffer
@@ -361,6 +362,37 @@ class TestEndToEnd:
         assert [type(layer) for layer in net.layers if layer.kind == "conv"] == [
             nn.Conv2D, DenseConv2D, DenseConv2D]
         assert lean == oracle
+
+    def test_non_finite_loss_stops_train_before_the_step(self, tmp_path, monkeypatch):
+        """A NaN loss raises before Adam steps, so the checkpoint saved after
+        the last finished episode stays on disk and the CSV keeps its rows."""
+        td_loss = agent_module.td_loss_and_gradient
+        calls = []
+
+        def nan_from_the_20th_update(batch, targets, online):
+            loss, grads = td_loss(batch, targets, online)
+            calls.append(loss)
+            if len(calls) < 20:
+                return loss, grads
+            return float("nan"), {k: np.full_like(g, np.nan) for k, g in grads.items()}
+
+        monkeypatch.setattr(agent_module, "td_loss_and_gradient", nan_from_the_20th_update)
+        hp = Hyperparams(random_frames=128, eps_greedy_frames=192, target_sync_every=64)
+        config = harness.TrainConfig(
+            hp=hp, episodes=1_000, seed=11, max_frames=320, checkpoint_every=1,
+            metrics_path=str(tmp_path / "run.csv"), checkpoint_path=str(tmp_path / "run.bin"))
+        # Updates run at frames 128, 132, ...: the 20th is at frame 204.
+        with pytest.raises(FloatingPointError, match="at frame 204"):
+            harness.train(config)
+        header, *rows = (tmp_path / "run.csv").read_text().splitlines()
+        assert header == harness.CSV_HEADER
+        frames_total = [int(row.rsplit(",", 1)[1]) for row in rows]
+        assert frames_total and frames_total[-1] < 204
+        assert any(128 <= n for n in frames_total)  # some rows saw updates
+        records = read_records(tmp_path / "run.bin")
+        assert int(records["frame_count"]) == frames_total[-1]
+        floats = [a for a in records.values() if a.dtype.kind == "f"]
+        assert len(floats) > 70 and all(np.isfinite(a).all() for a in floats)
 
 
 class TestEvaluate:

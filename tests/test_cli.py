@@ -16,6 +16,23 @@ from snakedqn.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from snakedqn.harness import CSV_HEADER, TrainConfig, memreport_text, parse_config_file
 
 
+# The paper's memory accounting as `snakedqn memreport` prints it.
+MEMREPORT = """\
+Per-frame storage (84x84 observation)
+format               bytes        kB    vs RGB   vs gray
+RGB float64         169344   165.375        0%         -
+Gray float64         56448    55.125   66.667%        0%
+Binary byte           7056     6.890   95.833%     87.5%
+Binary packed          882     0.861   99.479%   98.438%
+
+Replay memory accounting (8 frames per experience)
+buffer                                 bytes        GB    vs RGB   vs gray
+RGB float64 x 1,000,000        1354752000000  1261.711        0%         -
+Gray float64 x 1,000,000        451584000000   420.570   66.667%        0%
+Binary byte x 50,000              2822400000     2.628   99.792%   99.375%
+"""
+
+
 def write_config(path, *lines):
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -38,6 +55,9 @@ class TestExitCodes:
     def test_memreport(self, capsys):
         assert main(["memreport"]) == EXIT_OK
         assert capsys.readouterr().out == memreport_text()
+
+    def test_memreport_text_golden(self):
+        assert memreport_text() == MEMREPORT
 
     def test_tiny_train(self, tmp_path, capsys):
         assert main(["train", "--config", tiny_train_config(tmp_path), "--seed", "3"]) == EXIT_OK
@@ -175,6 +195,20 @@ class TestExitCodes:
         path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
         assert "'frame_count' appears twice" in capsys.readouterr().err
+
+    def test_eval_record_size_overflows(self, tmp_path, capsys):
+        # An intact file with a record of (2**32 - 1)**2 floats exits 3: its
+        # size, about 2**66 bytes, must not wrap to a small or negative count.
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        blob = path.read_bytes()
+        (count,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+        huge = struct.pack("<H", 4) + b"huge" + struct.pack("<BBII", 0, 2, 2**32 - 1, 2**32 - 1)
+        payload = struct.pack("<I", count + 1) + blob[len(MAGIC) + 4 : -4] + huge
+        path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert "truncated checkpoint" in capsys.readouterr().err
 
     def test_eval_record_name_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "agent.bin"

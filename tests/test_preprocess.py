@@ -11,9 +11,7 @@ from snakedqn.agent import Hyperparams
 from snakedqn.preprocess import (
     FRAME_SIDE,
     BinaryFrame,
-    PixelFormat,
     binary_observation,
-    frame_bytes,
     stack_init,
     stack_push,
 )
@@ -190,7 +188,6 @@ class TestBinaryFrame:
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=(84, 84))
         frame = BinaryFrame.from_array(bits)
-        assert frame.nbytes == 882
         assert len(frame.packed) == 882
         assert np.array_equal(frame.to_array(), bits)
 
@@ -257,26 +254,35 @@ class TestFrameStack:
 
 
 class TestMemoryAccounting:
+    """memreport's per-frame table against the frames the pipeline makes."""
+
+    @staticmethod
+    def frame_table() -> dict[str, tuple[int, str]]:
+        """Each format's (bytes, kB) columns."""
+        table = harness.memreport_text().split("\n\n")[0]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            *label, nbytes, kb, _vs_rgb, _vs_gray = line.split()
+            rows[" ".join(label)] = (int(nbytes), kb)
+        return rows
+
     def test_exact_bytes(self):
-        assert frame_bytes(PixelFormat.RGB_FLOAT64) == 169_344
-        assert frame_bytes(PixelFormat.GRAY_FLOAT64) == 56_448
-        assert frame_bytes(PixelFormat.BINARY_BYTE) == 7_056
-        assert frame_bytes(PixelFormat.BINARY_PACKED) == 882
+        nbytes = {label: n for label, (n, _) in self.frame_table().items()}
+        assert nbytes == {"RGB float64": 169_344, "Gray float64": 56_448,
+                          "Binary byte": 7_056, "Binary packed": 882}
+        rgb = env.render_rgb(env.reset(seed=0))
+        frame = binary_observation(rgb)
+        assert nbytes["Binary packed"] == len(frame.packed)
+        assert nbytes["Binary byte"] == frame.to_array().size
 
     def test_kb_values(self):
-        # The kB column of memreport's per-frame table.
-        table = harness.memreport_text().split("\n\n")[0]
-        kb = {}
-        for line in table.splitlines()[2:]:
-            *label, _bytes, value, _vs_rgb, _vs_gray = line.split()
-            kb[" ".join(label)] = value
+        kb = {label: value for label, (_, value) in self.frame_table().items()}
         assert kb == {"RGB float64": "165.375", "Gray float64": "55.125",
                       "Binary byte": "6.890", "Binary packed": "0.861"}
 
     def test_savings_ratios(self):
-        rgb = frame_bytes(PixelFormat.RGB_FLOAT64)
-        gray = frame_bytes(PixelFormat.GRAY_FLOAT64)
-        binary = frame_bytes(PixelFormat.BINARY_BYTE)
+        table = self.frame_table()
+        rgb, gray, binary = (table[k][0] for k in ("RGB float64", "Gray float64", "Binary byte"))
         assert binary * 8 == gray  # 87.5% saving vs grayscale, exactly
         assert binary * 24 == rgb  # ~95.83% saving vs RGB
         assert 1 - binary / gray == 0.875

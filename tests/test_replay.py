@@ -8,15 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snakedqn.preprocess import (FRAME_SIDE, PACKED_BYTES, BinaryFrame, FrameStack, PixelFormat,
-                                 stack_init, stack_push)
-from snakedqn.replay import (
-    FRAMES_PER_EXPERIENCE,
-    Experience,
-    ReplayBuffer,
-    _deflate,
-    memory_report,
-)
+from snakedqn.preprocess import (FRAME_SIDE, PACKED_BYTES, BinaryFrame, FrameStack, stack_init,
+                                 stack_push)
+from snakedqn.replay import Experience, ReplayBuffer, _deflate
 
 from replay_oracle import ListReplayBuffer, assert_batches_equal, episodes, oracle_batch
 
@@ -150,33 +144,6 @@ class TestAgainstOracle:
         with pytest.raises(ValueError):
             buf.push(Experience(stack_init(frames[0]), 0, -0.1, stack_init(frames[1]), False))
         assert len(buf) == 0
-
-
-class TestMemoryReport:
-    def test_table_values(self):
-        rgb_bytes, rgb_gb = memory_report(1_000_000, PixelFormat.RGB_FLOAT64)
-        gray_bytes, gray_gb = memory_report(1_000_000, PixelFormat.GRAY_FLOAT64)
-        bin_bytes, bin_gb = memory_report(50_000, PixelFormat.BINARY_BYTE)
-        assert rgb_bytes == 1_000_000 * 8 * 169_344
-        assert gray_bytes == 1_000_000 * 8 * 56_448
-        assert bin_bytes == 50_000 * 8 * 7_056
-        assert abs(rgb_gb - 1261.71) <= 0.01
-        assert abs(gray_gb - 420.57) <= 0.01
-        assert abs(bin_gb - 2.628) <= 0.01
-
-    def test_zero_capacity(self):
-        assert memory_report(0, PixelFormat.RGB_FLOAT64) == (0, 0.0)
-
-    def test_savings_vs_million_entry_grayscale(self):
-        gray_bytes, _ = memory_report(1_000_000, PixelFormat.GRAY_FLOAT64)
-        bin_bytes, _ = memory_report(50_000, PixelFormat.BINARY_BYTE)
-        # 1 - 0.00625 = 99.375% saving, exact in integer arithmetic
-        assert bin_bytes * 160 == gray_bytes
-
-    def test_frames_per_experience_default(self):
-        assert FRAMES_PER_EXPERIENCE == 8
-        nbytes, _ = memory_report(10, PixelFormat.BINARY_BYTE)
-        assert nbytes == 10 * 8 * 7_056
 
 
 class TestLiveBytes:
