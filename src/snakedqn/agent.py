@@ -126,7 +126,11 @@ def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndar
 
 def td_loss_and_gradient(batch: Batch, targets: np.ndarray,
                          online: QNetwork) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared TD error; gradient flows only through taken actions."""
+    """Mean squared TD error; gradient flows only through taken actions.
+
+    The gradient is ``online``'s own gradient arrays (``QNetwork.gradients``),
+    filled by its backward; clipping them later overwrites them in place.
+    """
     n = len(batch.actions)
     if n != len(targets):
         raise ValueError("batch and targets must have equal length")
@@ -160,7 +164,7 @@ def learn_step(agent: AgentState, buffer: ReplayBuffer,
         # Stepping on it would write non-finite weights, and the next save
         # would replace the last finite checkpoint with them.
         raise FloatingPointError(f"TD loss is {loss} at frame {agent.frame_count}")
-    grads = clip_global_norm(grads, hp.clip_norm)
+    clip_global_norm(grads, hp.clip_norm)
     adam_step(agent.online.params(), grads, agent.adam, hp.learning_rate)
     return loss
 
@@ -221,6 +225,8 @@ def load_agent(path, hp: Hyperparams,
         if stored.shape != arr.shape:
             raise CheckpointError(
                 f"architecture mismatch at {key}: {stored.shape} vs {arr.shape}")
+        if stored.dtype != arr.dtype:  # copyto would cast it silently
+            raise CheckpointError(f"dtype mismatch at {key}: {stored.dtype} vs {arr.dtype}")
         np.copyto(arr, stored)
     agent.adam.t = _count_record(records, "adam/t", 0, 0)
     agent.frame_count = _count_record(records, "frame_count", 0, 0)

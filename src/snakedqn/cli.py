@@ -1,7 +1,8 @@
 """Command-line entry point: train, eval, memreport, plot.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 corrupt checkpoint
-or metrics data.
+or metrics data, 4 training diverged (a non-finite TD loss; training stops
+before the step, so the last checkpoint and the CSV rows are kept).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CORRUPT = 3
+EXIT_DIVERGED = 4
 
 
 class UsageError(Exception):
@@ -105,6 +107,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -36,10 +36,12 @@ the output, equal the separate conv and pool layers' bit for bit.
 
 Each layer class declares its arrays once, by attribute name: ``kind``
 names its instances (``conv1``, ``conv2``, ...), ``trainable`` lists what
-the optimizer updates, with the gradient of ``w`` in ``dw``, and ``saved``
-lists other state that is copied and checkpointed with the parameters
-(batch-norm running statistics). The network derives every name-to-array
-mapping from these declarations, reading the attributes when asked:
+the optimizer updates, and ``saved`` lists other state that is copied and
+checkpointed with the parameters (batch-norm running statistics). The
+gradient of ``w`` is the array ``dw``, allocated with ``w`` at
+construction in the layer's dtype; every ``backward`` fills it in place,
+so a layer keeps one gradient array per parameter for its whole life. The
+network derives every name-to-array mapping from these declarations:
 ``params``, ``state_arrays`` and ``gradients`` all call conv1's weight
 ``conv1.w``, and the optimizer's moments and the checkpoint records reuse
 those names.
@@ -88,8 +90,10 @@ class Layer:
 
     ``kind`` names the layer in its network (``conv1``, ``conv2``, ...).
     ``trainable`` lists the attributes the optimizer updates; the gradient of
-    ``x`` is the attribute ``d<x>``. ``saved`` lists the other arrays a
-    network copies and checkpoints with them.
+    ``x`` is the attribute ``d<x>``, an array of ``x``'s shape allocated at
+    construction in the layer's dtype, which ``backward`` fills in place.
+    ``saved`` lists the other arrays a network copies and checkpoints with
+    them.
     """
 
     kind = "layer"
@@ -266,8 +270,8 @@ class Conv2D(Layer):
             dout = dout * mask
         dmat = dout.reshape(n * oh * ow, self.out_channels)
         wmat = self.w.reshape(k * k * c, self.out_channels)
-        self.dw = (cols.T @ dmat).reshape(self.w.shape)
-        self.db = dmat.sum(axis=0)
+        np.matmul(cols.T, dmat, out=self.dw.reshape(wmat.shape))
+        dmat.sum(axis=0, out=self.db)
         dcols = (dmat @ wmat.T).reshape(n, oh, ow, k, k, c)
         # Tap (i, j) = (bi*s + ri, bj*s + rj) of window (oy, ox) lands on
         # padded pixel ((oy + bi)*s + ri, (ox + bj)*s + rj). So dx, viewed as
@@ -303,7 +307,7 @@ class Conv2D(Layer):
         d = dout.reshape(n * ph * pw, c)
         dt = self.pool.backward(d[touched].reshape(-1, 1, 1, c)).reshape(-1, c)
         dactive = dt[taps] * mask
-        self.dw = (cols.T @ dactive).reshape(self.w.shape)
+        np.matmul(cols.T, dactive, out=self.dw.reshape(-1, c))
         dt *= live
         dt[taps] = dactive
         dt = dt.reshape(-1, 2, 2, c)
@@ -311,7 +315,7 @@ class Conv2D(Layer):
         terms[:, 0] = d.reshape(n * ph, pw, c) * live
         terms[:, 1] = 0.0
         terms[touched // pw, :, touched % pw] = dt[:, :, 0] + dt[:, :, 1]
-        self.db = terms.reshape(-1, c).sum(axis=0)
+        terms.reshape(-1, c).sum(axis=0, out=self.db)
         return None
 
 
@@ -406,8 +410,8 @@ class BatchNorm(Layer):
     def backward(self, dout):
         xhat, ivar, axes = self._take_cache()
         m = dout.size // self.channels
-        self.dgamma = (dout * xhat).sum(axis=axes)
-        self.dbeta = dout.sum(axis=axes)
+        (dout * xhat).sum(axis=axes, out=self.dgamma)
+        dout.sum(axis=axes, out=self.dbeta)
         dxhat = dout * self.gamma
         term = (
             m * dxhat
@@ -466,8 +470,8 @@ class Dense(Layer):
         x, mask = self._take_cache()
         if mask is not None:
             dout = dout * mask
-        self.dw = x.T @ dout
-        self.db = dout.sum(axis=0)
+        np.matmul(x.T, dout, out=self.dw)
+        dout.sum(axis=0, out=self.db)
         return dout @ self.w.T
 
 
@@ -508,10 +512,7 @@ class QNetwork:
         return self.gradients()
 
     def _walk(self, with_saved: bool, prefix: str) -> dict[str, np.ndarray]:
-        """Each layer's trainable (then saved) arrays, as attribute ``prefix + name``.
-
-        Attributes are read at call time: ``backward`` rebinds the gradients.
-        """
+        """Each layer's trainable (then saved) arrays, as attribute ``prefix + name``."""
         return {f"{layer.name}.{x}": getattr(layer, prefix + x)
                 for layer in self.layers
                 for x in layer.trainable + (layer.saved if with_saved else ())}
@@ -524,7 +525,12 @@ class QNetwork:
         return self._walk(with_saved=True, prefix="")
 
     def gradients(self) -> dict[str, np.ndarray]:
-        """The gradient of each parameter, under the parameter's name."""
+        """The gradient of each parameter, under the parameter's name.
+
+        These are the ``d<x>`` arrays the layers allocated at construction,
+        in their dtype; each ``backward`` overwrites them in place, so every
+        call returns the same arrays.
+        """
         return self._walk(with_saved=False, prefix="d")
 
 

@@ -38,14 +38,18 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> dict[str, np.ndarray]:
-    """Scale all gradients jointly so their combined L2 norm is <= max_norm."""
+    """Scale all gradients jointly, in place, so their combined L2 norm is <= max_norm.
+
+    ``grads`` are a network's own gradient arrays (``QNetwork.gradients``):
+    clipping overwrites them and returns the same dict.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     norm = global_norm(grads)
-    if norm <= max_norm:
-        return grads
-    scale = max_norm / norm
-    return {k: g * np.asarray(scale, dtype=g.dtype) for k, g in grads.items()}
+    if not norm <= max_norm:  # a NaN norm scales every gradient to NaN
+        for g in grads.values():
+            g *= np.asarray(max_norm / norm, dtype=g.dtype)
+    return grads
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

@@ -251,6 +251,22 @@ class TestLearnSchedule:
         agent.frame_count = 50_000
         assert learn_step(agent, buf, HP) is None
 
+    def test_gradients_stay_the_arrays_built_at_construction(self):
+        """Updates fill and clip the layers' own gradient arrays; none is rebound."""
+        agent = new_agent(HP, seed=0)
+        buf = self._filled_buffer()
+        built = {f"{layer.name}.{attr}": getattr(layer, f"d{attr}")
+                 for layer in agent.online.layers for attr in layer.trainable}
+        assert len(built) == 16
+        for frame in range(50_000, 50_016, 4):
+            agent.frame_count = frame
+            assert learn_step(agent, buf, HP) is not None
+            grads = agent.online.gradients()
+            assert list(grads) == list(built)
+            assert all(grads[k] is g for k, g in built.items())
+        assert agent.adam.t == 4
+        assert all(g.any() for g in built.values())
+
     def test_target_untouched_by_learning(self):
         agent = new_agent(HP, seed=0)
         buf = self._filled_buffer()

@@ -10,9 +10,9 @@ import pytest
 
 from snakedqn import agent as agent_module
 from snakedqn import checkpoint
-from snakedqn.agent import Hyperparams, new_agent, save_agent
+from snakedqn.agent import Hyperparams, load_agent, new_agent, save_agent
 from snakedqn.checkpoint import MAGIC, read_records, write_records
-from snakedqn.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from snakedqn.cli import EXIT_CORRUPT, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from snakedqn.harness import CSV_HEADER, TrainConfig, memreport_text, parse_config_file
 
 
@@ -92,6 +92,41 @@ class TestExitCodes:
         assert not (tmp_path / "metrics.csv").exists()
         assert not (tmp_path / "agent.bin").exists()
 
+    def test_train_diverged(self, tmp_path, capsys, monkeypatch):
+        # A NaN TD loss from the 20th update on: train stops with exit 4 and
+        # keeps the CSV rows and the last checkpoint of finished episodes.
+        td_loss = agent_module.td_loss_and_gradient
+        calls = []
+
+        def nan_from_the_20th_update(batch, targets, online):
+            loss, grads = td_loss(batch, targets, online)
+            calls.append(loss)
+            return (loss if len(calls) < 20 else float("nan")), grads
+
+        monkeypatch.setattr(agent_module, "td_loss_and_gradient", nan_from_the_20th_update)
+        config = write_config(
+            tmp_path / "train.cfg",
+            "random_frames = 128",
+            "eps_greedy_frames = 192",
+            "target_sync_every = 64",
+            "max_frames = 320",
+            "checkpoint_every = 1",
+            f"metrics_path = {tmp_path / 'metrics.csv'}",
+            f"checkpoint_path = {tmp_path / 'agent.bin'}",
+        )
+        assert main(["train", "--config", config, "--seed", "11"]) == EXIT_DIVERGED
+        # Updates run at frames 128, 132, ...: the 20th is at frame 204.
+        assert capsys.readouterr().err == "error: TD loss is nan at frame 204\n"
+        header, *rows = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert header == CSV_HEADER
+        frames_total = [int(row.rsplit(",", 1)[1]) for row in rows]
+        assert frames_total and 128 <= frames_total[-1] < 204
+        agent = load_agent(tmp_path / "agent.bin", Hyperparams())
+        assert agent.frame_count == frames_total[-1]
+        assert agent.adam.t > 0
+        assert main(["eval", "--checkpoint", str(tmp_path / "agent.bin"),
+                     "--episodes", "1"]) == EXIT_OK
+
     def test_eval_trained_checkpoint(self, tmp_path, capsys):
         assert main(["train", "--config", tiny_train_config(tmp_path)]) == EXIT_OK
         capsys.readouterr()
@@ -164,6 +199,20 @@ class TestExitCodes:
         write_records(path, {**read_records(path), key: value})
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
         assert f"error: {key} must be one integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("online/dense3.w", np.full((512, 4), 1e300)),
+        ("online/conv1.w", np.ones((8, 8, 4, 32), dtype=np.uint8)),
+    ], ids=["float64-head", "uint8-conv1"])
+    def test_eval_record_of_the_wrong_dtype(self, tmp_path, capsys, key, value):
+        # An intact file whose record has the right shape but not the
+        # network's dtype exits 3: no cast to inf or from bytes.
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        write_records(path, {**read_records(path), key: value})
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert f"error: dtype mismatch at {key}: {value.dtype} vs float32" in capsys.readouterr().err
 
     def test_eval_n_actions_past_the_head(self, tmp_path, capsys, monkeypatch):
         # An intact file claiming 2**40 actions exits 3 before any network of

@@ -7,6 +7,7 @@ import pytest
 
 from snakedqn import nn
 from snakedqn.nn import BatchNorm, Conv2D, Dense, Flatten, MaxPool2D, QNetwork
+from snakedqn.optim import clip_global_norm, global_norm
 
 from gradcheck import max_param_rel_error
 
@@ -194,25 +195,37 @@ class TestComposedGradients:
         assert worst < 1e-6
 
     def test_gradients_are_the_last_backwards(self):
-        """``gradients()`` returns the arrays the latest backward set."""
+        """``gradients()`` is one fixed array per parameter, each the layer's
+        own ``d<x>``; every backward overwrites it with that backward's
+        gradient, and clipping scales it in place."""
         net = reduced_net()
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(4, 8, 8, 2))
         before = net.gradients()
-        returned = []
-        for _ in range(2):
-            net.forward(x, train=True)
-            returned.append(net.backward(rng.normal(size=(4, 5))))
-        grads = net.gradients()
         params = net.params()
-        assert list(grads) == list(params) == list(before)
-        for name, g in grads.items():
-            assert g is returned[1][name]
-            assert g is not returned[0][name] and g is not before[name]
-            assert g.shape == params[name].shape
+        assert list(before) == list(params)
         for layer in net.layers:
             for attr in layer.trainable:
-                assert grads[f"{layer.name}.{attr}"] is getattr(layer, f"d{attr}")
+                g = before[f"{layer.name}.{attr}"]
+                assert g is getattr(layer, f"d{attr}")
+                assert g.shape == params[f"{layer.name}.{attr}"].shape
+                assert g.dtype == layer.dtype
+        for _ in range(3):
+            x, dout = rng.normal(size=(4, 8, 8, 2)), rng.normal(size=(4, 5))
+            net.forward(x, train=True)
+            for grads in (net.backward(dout), net.gradients()):
+                assert list(grads) == list(before)
+                assert all(grads[k] is g for k, g in before.items())
+        clipped = clip_global_norm(net.gradients(), 1e-3)
+        assert all(clipped[k] is g for k, g in before.items())
+        assert math.isclose(global_norm(before), 1e-3, rel_tol=1e-12)
+        # The last backward again, now on a fresh network: the same bytes.
+        net.forward(x, train=True)
+        net.backward(dout)
+        fresh = reduced_net()
+        fresh.forward(x, train=True)
+        want = fresh.backward(dout)
+        assert {k: g.tobytes() for k, g in before.items()} == {
+            k: g.tobytes() for k, g in want.items()}
 
     def test_full_network(self):
         net = nn.build_q_network(4, dtype=np.float64)
