@@ -32,7 +32,8 @@ class CheckpointError(Exception):
     """Raised for unreadable, corrupt, or incompatible checkpoint files."""
 
 
-def _encode_record(name: str, arr: np.ndarray) -> bytes:
+def _record_parts(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A record's header and its array, C-contiguous in the stored dtype."""
     code = _KIND_TO_CODE.get((arr.dtype.kind, arr.dtype.itemsize))
     if code is None:
         raise ValueError(f"unsupported dtype {arr.dtype} for record {name!r}")
@@ -41,7 +42,14 @@ def _encode_record(name: str, arr: np.ndarray) -> bytes:
     head = struct.pack("<H", len(name_bytes)) + name_bytes
     head += struct.pack("<BB", code, arr.ndim)
     head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + raw.tobytes()
+    return head, raw
+
+
+def _payload(records: dict[str, np.ndarray]):
+    """The bytes between the magic and the CRC, as pieces to write in order."""
+    yield struct.pack("<I", len(records))
+    for name, arr in records.items():
+        yield from _record_parts(name, np.asarray(arr))
 
 
 def write_records(path, records: dict[str, np.ndarray]) -> None:
@@ -50,15 +58,18 @@ def write_records(path, records: dict[str, np.ndarray]) -> None:
     The bytes go to a temporary file in the same directory, which is then
     renamed over ``path``: a process killed mid-save leaves the previous
     checkpoint intact. (No fsync, so this does not cover a power loss.)
+    Each array is written from its own memory and the CRC is updated piece
+    by piece, so a save copies no array.
     """
-    payload = b"".join([struct.pack("<I", len(records)),
-                        *(_encode_record(name, np.asarray(arr)) for name, arr in records.items())])
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            crc = 0
+            for piece in _payload(records):
+                fh.write(piece)
+                crc = zlib.crc32(piece, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -67,11 +78,11 @@ def write_records(path, records: dict[str, np.ndarray]) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError("truncated checkpoint")
         out = self.buf[self.pos : self.pos + n]
@@ -83,8 +94,13 @@ class _Reader:
 
 
 def read_records(path) -> dict[str, np.ndarray]:
+    """The records of the checkpoint at ``path``, each array its own copy.
+
+    The file is parsed through views of the bytes read, so only the arrays
+    are copied out of it.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     payload, (stored_crc,) = blob[len(MAGIC) : -4], struct.unpack("<I", blob[-4:])
@@ -96,7 +112,7 @@ def read_records(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
         try:
-            name = rd.take(name_len).decode("utf-8")
+            name = str(rd.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"record name is not utf-8: {exc}") from None
         if name in records:

@@ -253,7 +253,8 @@ def memreport_text() -> str:
 
     The replay rows count the paper's 8 frames per experience, 4 state and 4
     next-state frames. That is not what the ring holds: it keeps each frame
-    once, deflated, and ``ReplayBuffer.nbytes`` counts those bytes.
+    once, deflated, packed back to back in 64-row segments, and
+    ``ReplayBuffer.nbytes`` counts those bytes and their offsets.
     """
     frames = _size_table("Per-frame storage (84x84 observation)", "format",
                          list(_FRAME_BYTES.items()), unit="kB", scale=1024, widths=(16, 10))

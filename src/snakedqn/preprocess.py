@@ -15,6 +15,7 @@ oracle of the definition above.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +74,21 @@ def binary_observation(rgb_frame: np.ndarray) -> BinaryFrame:
         raise ValueError(f"a {side}x{width} frame does not tile to "
                          f"{FRAME_SIDE}x{FRAME_SIDE}")
     f = side // FRAME_SIDE
-    # float32 is exact while every partial sum, at most 255000 f^2, is below 2^24.
-    exact32 = 1000 * 255 * f * f < 2**24
-    rows = rgb_frame.reshape(FRAME_SIDE, f, width * 3).sum(
-        axis=1, dtype=np.uint16 if exact32 else np.float64)
-    weights = np.tile(LUMA_WEIGHTS, f).astype(np.float32 if exact32 else np.float64)
+    sum_dtype, weights = _luma_kernel(f)
+    rows = rgb_frame.reshape(FRAME_SIDE, f, width * 3).sum(axis=1, dtype=sum_dtype)
     luma = rows.reshape(FRAME_PIXELS, 3 * f) @ weights
     return BinaryFrame(np.packbits(luma > 1000 * BINARIZE_THRESHOLD * f * f).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _luma_kernel(f: int) -> tuple[type, np.ndarray]:
+    """The row-sum dtype and the read-only weights, ``LUMA_WEIGHTS`` tiled
+    ``f`` times, for blocks of side ``f``. float32 is exact while every
+    partial sum, at most 255000 f^2, is below 2^24; larger blocks use float64."""
+    exact32 = 1000 * 255 * f * f < 2**24
+    weights = np.tile(LUMA_WEIGHTS, f).astype(np.float32 if exact32 else np.float64)
+    weights.flags.writeable = False
+    return (np.uint16 if exact32 else np.float64), weights
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,14 @@ earlier frames of its episode a stack may use. Clamping the look-back to
 ``back`` reproduces the episode-start stack, whose first frame repeats four
 times.
 
+The deflated rows live in segments of 64 consecutive ring rows, so a row
+costs its bytes plus a uint16 start and length, not a Python object of its
+own. A segment is one ``bytes`` holding its rows back to back. Rows are
+written in ring order, so the segment being written collects its new rows
+in a list while the rows it has not reached yet stay in its old ``bytes``.
+When a write moves on to another segment, or wraps round to the first row
+of a one-segment ring, the list is joined into the segment's new ``bytes``.
+
 ``sample`` assembles channels-last batch arrays straight from the ring. The
 ring packs its frames bit-planar: byte ``b`` holds pixels ``b``,
 ``b + 882``, ..., ``b + 7 * 882``. Then the four channels' byte ``b``, read
@@ -38,6 +46,9 @@ _LOW_BITS = np.uint32(0x01010101)
 # frame deflates to the same size from about 20 KiB of state.
 _DEFLATE_WBITS = 11
 _DEFLATE_MEM_LEVEL = 4
+# Ring rows per segment. A row deflates to at most 893 bytes (882 stored,
+# plus zlib's framing), so a segment's offsets stay below 64 * 893 < 2**16.
+_SEGMENT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -73,13 +84,25 @@ class ReplayBuffer:
     transition's next frame is never read, so the next episode's first frame
     takes its row. The extra four rows hold the oldest live experience's
     three look-back frames and the newest one's next frame.
+
+    Row ``r`` lies in segment ``r // 64`` (see the module docstring).
+    ``_segments`` holds each segment's ``bytes``, and ``_start`` and
+    ``_length`` locate each row in it. The rows the open segment ``_open``
+    has rewritten this lap are in ``_open_rows``, from its first row on.
+    ``nbytes`` counts the deflated rows, the two offset arrays and the
+    per-slot columns.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._frames: list = [None] * (capacity + STACK_DEPTH)
+        self._rows = capacity + STACK_DEPTH
+        self._segments = [b""] * -(-self._rows // _SEGMENT_ROWS)
+        self._start = np.zeros(self._rows, dtype=np.uint16)
+        self._length = np.zeros(self._rows, dtype=np.uint16)
+        self._open = 0
+        self._open_rows: list[bytes] = []
         self._action = np.zeros(capacity, dtype=np.uint8)
         self._reward = np.zeros(capacity, dtype=np.float64)
         self._terminal = np.zeros(capacity, dtype=bool)
@@ -103,7 +126,6 @@ class ReplayBuffer:
         if nxt[:-1] != state[1:]:
             raise ValueError("next_state must be state shifted by one new frame")
         g = self._pushes
-        rows = len(self._frames)
         if exp.state is self._tail:
             back = self._tail_back
         elif self._tail is not None:
@@ -112,8 +134,8 @@ class ReplayBuffer:
             raise ValueError("an episode must start from four equal frames")
         else:
             back = 0
-            self._frames[g % rows] = _deflate(state[0])
-        self._frames[(g + 1) % rows] = _deflate(nxt[-1])
+            self._write(g % self._rows, _deflate(state[0]))
+        self._write((g + 1) % self._rows, _deflate(nxt[-1]))
         slot = g % self.capacity
         self._action[slot] = exp.action
         self._reward[slot] = exp.reward
@@ -122,6 +144,35 @@ class ReplayBuffer:
         self._pushes = g + 1
         self._tail = None if exp.terminal else exp.next_state
         self._tail_back = min(back + 1, STACK_DEPTH - 1)
+
+    def _write(self, row: int, data: bytes) -> None:
+        """Store ``data`` as ring row ``row``.
+
+        Rows are written in ring order, and only an episode start writes a
+        row twice, right after the terminal push wrote it. So a write either
+        appends to the open segment's list or replaces its last row, unless
+        it has moved on to another segment or lap, which seals the open one.
+        """
+        segment, pos = divmod(row, _SEGMENT_ROWS)
+        rows = self._open_rows
+        if segment != self._open or pos < len(rows) - 1:
+            self._seal()
+            self._open, rows = segment, self._open_rows
+        if pos < len(rows):
+            rows[pos] = data
+        else:
+            rows.append(data)
+
+    def _seal(self) -> None:
+        """Join the open segment's rows into its ``bytes`` and record their offsets."""
+        rows, base = self._open_rows, self._open * _SEGMENT_ROWS
+        length = self._length[base : base + len(rows)]
+        length[:] = list(map(len, rows))
+        start = self._start[base : base + len(rows)]
+        np.add.accumulate(length, out=start)
+        start -= length
+        self._segments[self._open] = b"".join(rows)
+        self._open_rows = []
 
     def sample(self, batch: int, rng: np.random.Generator) -> Batch:
         """Uniform sample of ``batch`` distinct entries."""
@@ -134,9 +185,18 @@ class ReplayBuffer:
         # newest, never reaching back before the episode's first frame.
         offsets = np.arange(_WINDOW) - (STACK_DEPTH - 1)
         back = self._back[slots].astype(np.int64)
-        rows = (g[:, None] + np.maximum(offsets, -back[:, None])) % len(self._frames)
-        frames = self._frames
-        packed = b"".join([zlib.decompress(frames[r]) for r in rows.ravel().tolist()])
+        rows = ((g[:, None] + np.maximum(offsets, -back[:, None])) % self._rows).ravel()
+        start = self._start[rows]
+        stop = start + self._length[rows]
+        segments, open_rows = self._segments, self._open_rows
+        # Rows lo..hi-1 are in the open segment's list; the rest are slices of
+        # their segment's bytes.
+        lo = self._open * _SEGMENT_ROWS
+        hi = lo + len(open_rows)
+        packed = b"".join([
+            zlib.decompress(open_rows[r - lo] if lo <= r < hi
+                            else segments[r // _SEGMENT_ROWS][a:b])
+            for r, a, b in zip(rows.tolist(), start.tolist(), stop.tolist())])
         window = np.frombuffer(packed, dtype=np.uint8).reshape(batch, _WINDOW, PACKED_BYTES)
         terminal = self._terminal[slots]
         return Batch(
@@ -149,10 +209,10 @@ class ReplayBuffer:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the ring holds: deflated frames plus the per-slot columns."""
-        frames = sum(len(f) for f in self._frames if f is not None)
-        columns = (self._action.nbytes + self._reward.nbytes
-                   + self._terminal.nbytes + self._back.nbytes)
+        """Bytes the ring holds: deflated frames, their offsets and the per-slot columns."""
+        frames = sum(map(len, self._segments)) + sum(map(len, self._open_rows))
+        columns = (self._start.nbytes + self._length.nbytes + self._action.nbytes
+                   + self._reward.nbytes + self._terminal.nbytes + self._back.nbytes)
         return frames + columns
 
 
@@ -167,9 +227,11 @@ def _deflate(frame) -> bytes:
 def _unpack(packed: np.ndarray) -> np.ndarray:
     """``(n, 4, 882)`` bit-planar frames -> ``(n, 84, 84, 4)`` uint8 bits, channels-last."""
     n = len(packed)
-    channels = packed.astype(np.uint32)
-    words = (channels[:, 0] | channels[:, 1] << 8
-             | channels[:, 2] << 16 | channels[:, 3] << 24)
+    # Channel c lands in bits 8c..8c+7 of each word, built in place.
+    words = packed[:, 3].astype(np.uint32)
+    for channel in (2, 1, 0):
+        words <<= 8
+        words |= packed[:, channel]
     bits = words[:, None, :] >> _PLANE_SHIFTS
     bits &= _LOW_BITS
     # Byte c of each word is channel c: little-endian order puts it at offset c.

@@ -1,10 +1,11 @@
 """Checkpoint container format and agent save/load round-trips."""
 
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
-
-import struct
-import zlib
 
 from snakedqn import agent as agent_module
 from snakedqn import checkpoint, harness
@@ -16,13 +17,7 @@ from snakedqn.checkpoint import (
     write_records,
 )
 
-
-def reference_bytes(records):
-    """The container bytes as the format defines them, built record by record."""
-    payload = struct.pack("<I", len(records))
-    for name, arr in records.items():
-        payload += checkpoint._encode_record(name, np.asarray(arr))
-    return MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+from checkpoint_oracle import encode_record, reference_bytes
 
 
 class FailingWrites:
@@ -122,7 +117,7 @@ class TestRecordContainer:
     def test_repeated_name_rejected(self, tmp_path):
         # Intact (the CRC holds), but "a" is declared twice.
         payload = struct.pack("<I", 2) + b"".join(
-            checkpoint._encode_record("a", np.full(2, v, dtype=np.float32)) for v in (1.0, 2.0))
+            encode_record("a", np.full(2, v, dtype=np.float32)) for v in (1.0, 2.0))
         path = tmp_path / "c.bin"
         path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(CheckpointError, match="'a' appears twice"):
@@ -227,6 +222,24 @@ class TestAgentRoundTrip:
         assert loaded.frame_count == 60_000
         save_agent(path, loaded, hp)
         assert path.read_bytes() == current
+
+    def test_save_copies_no_array(self, tmp_path):
+        """Saving a 7 MB agent allocates under 1 MB at its peak: each array
+        goes to the file from its own memory."""
+        hp = Hyperparams()
+        agent = new_agent(hp, seed=6)
+        params = agent.online.params()
+        agent.adam.m = {k: np.full_like(p, 0.25) for k, p in params.items()}
+        agent.adam.v = {k: np.full_like(p, 0.5) for k, p in params.items()}
+        path = tmp_path / "agent.bin"
+        tracemalloc.start()
+        try:
+            save_agent(path, agent, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 7_000_000
+        assert peak < 1_000_000
 
     def test_eval_forward_identical_after_reload(self, tmp_path):
         hp = Hyperparams()

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from snakedqn import agent as agent_module
-from snakedqn import checkpoint
 from snakedqn.agent import Hyperparams, load_agent, new_agent, save_agent
 from snakedqn.checkpoint import MAGIC, read_records, write_records
 from snakedqn.cli import EXIT_CORRUPT, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from snakedqn.harness import CSV_HEADER, TrainConfig, memreport_text, parse_config_file
+
+from checkpoint_oracle import encode_record
 
 
 # The paper's memory accounting as `snakedqn memreport` prints it.
@@ -240,7 +241,7 @@ class TestExitCodes:
         blob = path.read_bytes()
         (count,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
         payload = (struct.pack("<I", count + 1) + blob[len(MAGIC) + 4 : -4]
-                   + checkpoint._encode_record("frame_count", np.int64(5)))
+                   + encode_record("frame_count", np.int64(5)))
         path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
         assert "'frame_count' appears twice" in capsys.readouterr().err
