@@ -2,7 +2,7 @@
 stores each frame once, deflated, and a from-scratch numpy CNN trained with Adam."""
 
 from .agent import AgentState, Hyperparams, epsilon_at, load_agent, new_agent, save_agent
-from .env import Direction, EnvState, GridConfig, StepOutcome, reset, step
+from .env import Direction, EnvState, StepOutcome, reset, step
 from .harness import EvalResult, TrainConfig, evaluate, memreport_text, train
 from .nn import QNetwork, build_q_network
 from .preprocess import BinaryFrame, FrameStack
@@ -16,7 +16,6 @@ __all__ = [
     "EvalResult",
     "Experience",
     "FrameStack",
-    "GridConfig",
     "Hyperparams",
     "QNetwork",
     "ReplayBuffer",

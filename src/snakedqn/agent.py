@@ -65,14 +65,13 @@ class AgentState:
     rng: np.random.Generator
 
 
-def new_agent(hp: Hyperparams, seed, n_actions: int = N_ACTIONS,
-              dtype=np.float32) -> AgentState:
+def new_agent(hp: Hyperparams, seed, n_actions: int = N_ACTIONS) -> AgentState:
     """Fresh agent: seeded weights, target synced to online, Adam at step 0."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_ss, act_ss = ss.spawn(2)
-    online = build_q_network(n_actions, dtype=dtype)
+    online = build_q_network(n_actions)
     init_weights(online, np.random.Generator(np.random.PCG64(init_ss)))
-    target = build_q_network(n_actions, dtype=dtype)
+    target = build_q_network(n_actions)
     copy_weights(online, target)
     return AgentState(
         online=online,

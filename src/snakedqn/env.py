@@ -1,10 +1,10 @@
 """Snake game environment on a small grid with block-graphics rendering.
 
-The game lives on a ``width x height`` cell grid (default 12x12) and is
-rasterized to ``width*cell_px x height*cell_px`` RGB pixels (default
-252x252). Rewards: +1 for eating an apple, -1 for dying against a wall or
-the snake's own body, -0.1 for any other move. Episodes also end when the
-board is full (win) or when a step cap is reached (truncation).
+The game lives on a fixed 12x12 cell grid and is rasterized to 252x252 RGB
+pixels, 21 per cell, which the observation reduces to 84x84 bits. Rewards:
++1 for eating an apple, -1 for dying against a wall or the snake's own
+body, -0.1 for any other move. Episodes also end when the board is full
+(win) or when the state's step cap is reached (truncation).
 
 Coordinates are ``(x, y)`` cell pairs with ``(0, 0)`` at the top-left;
 ``x`` grows rightwards, ``y`` grows downwards. Apple spawning draws one
@@ -23,6 +23,11 @@ import numpy as np
 REWARD_APPLE = 1.0
 REWARD_DEATH = -1.0
 REWARD_STEP = -0.1
+
+BOARD_CELLS = 12  # the board is BOARD_CELLS x BOARD_CELLS cells
+CELL_PX = 21
+FRAME_PX = BOARD_CELLS * CELL_PX
+INIT_SNAKE_LEN = 3
 
 
 class Direction(enum.IntEnum):
@@ -62,42 +67,16 @@ ACTIONS: tuple[Direction, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Board geometry and episode limits."""
-
-    width: int = 12
-    height: int = 12
-    cell_px: int = 21
-    init_snake_len: int = 3
-    max_steps: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1 or self.cell_px < 1:
-            raise ValueError("grid dimensions must be positive")
-        if not (1 <= self.init_snake_len < self.width):
-            raise ValueError("init_snake_len must satisfy 1 <= len < width")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
-
-    @property
-    def pixel_width(self) -> int:
-        return self.width * self.cell_px
-
-    @property
-    def pixel_height(self) -> int:
-        return self.height * self.cell_px
-
-
 @dataclass
 class EnvState:
     """Full game state. ``body`` is head-first; ``rng`` drives apple spawns.
 
     ``step`` returns a new EnvState but shares (and advances) the ``rng``
-    object, so states are snapshots of the board, not of the PRNG.
+    object, so states are snapshots of the board, not of the PRNG. The
+    episode is truncated once ``steps`` reaches ``max_step``.
     """
 
-    config: GridConfig
+    max_step: int
     body: tuple[tuple[int, int], ...]
     heading: Direction
     apple: tuple[int, int] | None
@@ -122,15 +101,15 @@ def _spawn_apple(rng: np.random.Generator, free: list[tuple[int, int]]) -> tuple
     return free[int(rng.integers(0, len(free)))]
 
 
-def reset(config: GridConfig = GridConfig(), seed: int = 0) -> EnvState:
+def reset(seed: int, max_step: int) -> EnvState:
     """Start an episode: centered horizontal snake heading right, seeded apple."""
-    head = (config.width // 2, config.height // 2)
-    if head[0] - (config.init_snake_len - 1) < 0:
-        raise ValueError("snake does not fit left of the centered head")
-    body = tuple((head[0] - i, head[1]) for i in range(config.init_snake_len))
+    if max_step < 1:
+        raise ValueError(f"max_step must be positive, got {max_step}")
+    head = (BOARD_CELLS // 2, BOARD_CELLS // 2)
+    body = tuple((head[0] - i, head[1]) for i in range(INIT_SNAKE_LEN))
     rng = np.random.Generator(np.random.PCG64(seed))
     state = EnvState(
-        config=config,
+        max_step=max_step,
         body=body,
         heading=Direction.RIGHT,
         apple=None,
@@ -148,11 +127,10 @@ def free_cells(state: EnvState) -> list[tuple[int, int]]:
     occupied = set(state.body)
     if state.apple is not None:
         occupied.add(state.apple)
-    cfg = state.config
     return [
         (x, y)
-        for y in range(cfg.height)
-        for x in range(cfg.width)
+        for y in range(BOARD_CELLS)
+        for x in range(BOARD_CELLS)
         if (x, y) not in occupied
     ]
 
@@ -161,7 +139,6 @@ def step(state: EnvState, action: Direction) -> tuple[EnvState, StepOutcome]:
     """Advance one move. Reverse inputs are ignored (the snake keeps going)."""
     if state.done:
         raise ValueError("cannot step a finished episode")
-    cfg = state.config
 
     heading = state.heading if action == state.heading.opposite else Direction(action)
     dx, dy = heading.delta
@@ -180,7 +157,7 @@ def step(state: EnvState, action: Direction) -> tuple[EnvState, StepOutcome]:
         )
         return new_state, StepOutcome(reward=reward, terminal=done)
 
-    out_of_bounds = not (0 <= new_head[0] < cfg.width and 0 <= new_head[1] < cfg.height)
+    out_of_bounds = not (0 <= new_head[0] < BOARD_CELLS and 0 <= new_head[1] < BOARD_CELLS)
     if new_head == state.apple:
         hits_body = new_head in state.body
     else:
@@ -204,17 +181,15 @@ def step(state: EnvState, action: Direction) -> tuple[EnvState, StepOutcome]:
         apple = state.apple
         reward = REWARD_STEP
 
-    return make(body, apple, score, steps >= cfg.max_steps, reward)
+    return make(body, apple, score, steps >= state.max_step, reward)
 
 
 def render_rgb(state: EnvState) -> np.ndarray:
-    """Rasterize to (H, W, 3) uint8: white 21x21 blocks on black."""
-    cfg = state.config
-    frame = np.zeros((cfg.pixel_height, cfg.pixel_width, 3), dtype=np.uint8)
+    """Rasterize to (252, 252, 3) uint8: white 21x21 blocks on black."""
+    frame = np.zeros((FRAME_PX, FRAME_PX, 3), dtype=np.uint8)
     cells = list(state.body)
     if state.apple is not None:
         cells.append(state.apple)
-    px = cfg.cell_px
     for x, y in cells:
-        frame[y * px : (y + 1) * px, x * px : (x + 1) * px, :] = 255
+        frame[y * CELL_PX : (y + 1) * CELL_PX, x * CELL_PX : (x + 1) * CELL_PX, :] = 255
     return frame

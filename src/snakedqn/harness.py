@@ -131,7 +131,6 @@ def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
 def train(config: TrainConfig) -> list[EpisodeMetrics]:
     """Run the training loop; writes the metrics CSV and checkpoints."""
     hp = config.hp
-    grid = game.GridConfig(max_steps=hp.max_step)
     master = np.random.SeedSequence(config.seed)
     agent_ss, env_ss = master.spawn(2)
     if config.resume_from is not None:
@@ -150,7 +149,7 @@ def train(config: TrainConfig) -> list[EpisodeMetrics]:
             if config.max_frames is not None and agent.frame_count >= config.max_frames:
                 break
             seed_ep = int(env_seeder.integers(0, 2**63))
-            state = game.reset(grid, seed_ep)
+            state = game.reset(seed_ep, hp.max_step)
             budget = None
             if config.max_frames is not None:
                 budget = config.max_frames - agent.frame_count
@@ -168,19 +167,18 @@ def train(config: TrainConfig) -> list[EpisodeMetrics]:
 
 
 def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
-             hp: Hyperparams | None = None,
-             grid: game.GridConfig | None = None) -> EvalResult:
+             hp: Hyperparams | None = None) -> EvalResult:
     """Play greedy (or epsilon-soft) episodes without learning.
 
     ``source`` may be an AgentState, a QNetwork, a checkpoint path, or None
-    for a pure random policy (requires epsilon = 1).
+    for a pure random policy (requires epsilon = 1). Each episode is capped
+    at ``hp.max_step`` steps.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     hp = hp or Hyperparams()
-    grid = grid or game.GridConfig(max_steps=hp.max_step)
     net = source
     if isinstance(source, AgentState):
         net = source.online
@@ -196,7 +194,7 @@ def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
 
     scores: list[int] = []
     for _ in range(episodes):
-        state = game.reset(grid, int(env_seeder.integers(0, 2**63)))
+        state = game.reset(int(env_seeder.integers(0, 2**63)), hp.max_step)
         stack = stack_init(observe(state))
         while not state.done:
             action = greedy_action(stack, net, rng, epsilon)

@@ -19,11 +19,11 @@ so once any conv1 bias is above zero all their windows hold a nonzero; they
 build every im2col row.
 
 Max pooling (2x2, stride 2) reads an ``(n, h, w, c)`` input as
-``(n, oh, 2, ow, 2, c)``, so its four window taps are strided views and no
-window is copied. Same padding for this geometry only ever pads after, so
-an odd-sized input is padded with one row or column of -inf, which never
-wins a window; even-sized inputs are not copied at all. The backward writes
-each tap's share of the gradient straight into a view of its output.
+``(n, h/2, 2, w/2, 2, c)``, so its four window taps are strided views and
+no window is copied. It takes only even sizes: the network's pools see 6x6
+and 2x2 inputs, and the first stage's compact 2x2 windows, which hold -inf
+past an odd conv edge as same padding would. The backward writes each
+tap's share of the gradient straight into a view of its output.
 
 The first conv layer holds the first pool, so conv1, its ReLU and pool1
 run as one stage. On replay batches about nine in ten of conv1's output
@@ -68,19 +68,18 @@ def same_pad(in_size: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, total // 2, total - total // 2
 
 
-def pad_spatial(x: np.ndarray, pt: int, pb: int, pl: int, pr: int,
-                fill: float = 0.0) -> np.ndarray:
-    """``x`` (N, H, W, C) padded on H and W with ``fill``.
+def pad_spatial(x: np.ndarray, pt: int, pb: int, pl: int, pr: int) -> np.ndarray:
+    """``x`` (N, H, W, C) zero-padded on H and W.
 
     Same values as ``np.pad``, whose own overhead (about 60 us a call) is
     most of a batch-1 layer's time.
     """
     n, h, w, c = x.shape
     xp = np.empty((n, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
-    xp[:, :pt] = fill
-    xp[:, pt + h :] = fill
-    xp[:, pt : pt + h, :pl] = fill
-    xp[:, pt : pt + h, pl + w :] = fill
+    xp[:, :pt] = 0
+    xp[:, pt + h :] = 0
+    xp[:, pt : pt + h, :pl] = 0
+    xp[:, pt : pt + h, pl + w :] = 0
     xp[:, pt : pt + h, pl : pl + w] = x
     return xp
 
@@ -320,7 +319,7 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """2x2 window, stride 2, same padding with -inf fill.
+    """2x2 window, stride 2, over an input of even height and width.
 
     Train mode caches three comparisons that give each window's
     first-occurrence argmax; backward writes the upstream gradient times
@@ -340,8 +339,8 @@ class MaxPool2D(Layer):
     def _taps(x):
         n, h, w, c = x.shape
         if h % 2 or w % 2:
-            x = pad_spatial(x, 0, h % 2, 0, w % 2, fill=-np.inf)
-        q = x.reshape(n, -(-h // 2), 2, -(-w // 2), 2, c)
+            raise ValueError(f"2x2 pooling needs an even height and width, got {h}x{w}")
+        q = x.reshape(n, h // 2, 2, w // 2, 2, c)
         return q[:, :, 0, :, 0], q[:, :, 0, :, 1], q[:, :, 1, :, 0], q[:, :, 1, :, 1]
 
     def forward(self, x, train):
@@ -358,15 +357,14 @@ class MaxPool2D(Layer):
 
     def backward(self, dout):
         right_top, right_bot, down, (n, h, w, c) = self._take_cache()
-        oh, ow = -(-h // 2), -(-w // 2)
-        dx = np.empty((n, oh, 2, ow, 2, c), dtype=dout.dtype)
+        dx = np.empty((n, h // 2, 2, w // 2, 2, c), dtype=dout.dtype)
         up = ~down
         np.multiply(dout, up & ~right_top, out=dx[:, :, 0, :, 0])
         np.multiply(dout, up & right_top, out=dx[:, :, 0, :, 1])
         np.multiply(dout, down & ~right_bot, out=dx[:, :, 1, :, 0])
         np.multiply(dout, down & right_bot, out=dx[:, :, 1, :, 1])
         dx += 0.0  # as if added to zeros: a negative dout times 0 reads +0.0, not -0.0
-        return dx.reshape(n, 2 * oh, 2 * ow, c)[:, :h, :w]
+        return dx.reshape(n, h, w, c)
 
 
 class BatchNorm(Layer):

@@ -5,12 +5,13 @@ bits in one exact integer pass. A bit is set iff the mean BT.601 luma of
 its ``f x f`` block, ``(299 R + 587 G + 114 B) / 1000``, is strictly above
 127.5, that is iff the block's integer luma sum exceeds ``127500 f^2``. The
 kernel sums each block's ``f`` rows in uint16, then takes one float32
-product with the weights tiled ``f`` times. For ``f <= 8`` every partial
-sum is an integer below ``255000 f^2 < 2^24``, so float32 holds it exactly
-whatever order BLAS adds in; larger factors accumulate in float64. The
-float64 grayscale -> block mean -> threshold chain this replaced lives on
-in ``tests/preprocess_oracle.py`` as the test oracle, next to an int64
-oracle of the definition above.
+product with the weights tiled ``f`` times. Every partial sum is an integer
+below ``255000 f^2``, which is under ``2^24`` for ``f <= 8``, so float32
+holds it exactly whatever order BLAS adds in; larger blocks are rejected.
+The rendered board is 252 px, so ``f = 3``. The float64 grayscale -> block
+mean -> threshold chain this replaced lives on in
+``tests/preprocess_oracle.py`` as the test oracle, next to an int64 oracle
+of the definition above.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ PACKED_BYTES = FRAME_PIXELS // 8
 STACK_DEPTH = 4
 BINARIZE_THRESHOLD = 127.5
 LUMA_WEIGHTS = (299, 587, 114)  # BT.601, in thousandths
+MAX_BLOCK = 8  # the largest block side whose luma sums float32 holds exactly
 
 
 class BinaryFrame:
@@ -62,33 +64,32 @@ class BinaryFrame:
 def binary_observation(rgb_frame: np.ndarray) -> BinaryFrame:
     """The full pipeline from a rendered uint8 RGB frame to a packed binary frame.
 
-    The frame must be square and tile to 84x84 (side ``84 f``); see the
-    module docstring for the exact definition of a set bit.
+    The frame must be square and tile to 84x84 in blocks of side ``f <=
+    MAX_BLOCK`` (side ``84 f``); see the module docstring for the exact
+    definition of a set bit.
     """
     if rgb_frame.ndim != 3 or rgb_frame.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) RGB frame, got {rgb_frame.shape}")
     if rgb_frame.dtype != np.uint8:
         raise ValueError(f"expected uint8 RGB, got {rgb_frame.dtype}")
     side, width, _ = rgb_frame.shape
-    if side != width or side < FRAME_SIDE or side % FRAME_SIDE:
-        raise ValueError(f"a {side}x{width} frame does not tile to "
-                         f"{FRAME_SIDE}x{FRAME_SIDE}")
     f = side // FRAME_SIDE
-    sum_dtype, weights = _luma_kernel(f)
-    rows = rgb_frame.reshape(FRAME_SIDE, f, width * 3).sum(axis=1, dtype=sum_dtype)
+    if side != width or side % FRAME_SIDE or not 1 <= f <= MAX_BLOCK:
+        raise ValueError(f"a {side}x{width} frame does not tile to "
+                         f"{FRAME_SIDE}x{FRAME_SIDE} in blocks of at most {MAX_BLOCK} px")
+    weights = _luma_weights(f)
+    rows = rgb_frame.reshape(FRAME_SIDE, f, width * 3).sum(axis=1, dtype=np.uint16)
     luma = rows.reshape(FRAME_PIXELS, 3 * f) @ weights
     return BinaryFrame(np.packbits(luma > 1000 * BINARIZE_THRESHOLD * f * f).tobytes())
 
 
-@functools.lru_cache(maxsize=8)
-def _luma_kernel(f: int) -> tuple[type, np.ndarray]:
-    """The row-sum dtype and the read-only weights, ``LUMA_WEIGHTS`` tiled
-    ``f`` times, for blocks of side ``f``. float32 is exact while every
-    partial sum, at most 255000 f^2, is below 2^24; larger blocks use float64."""
-    exact32 = 1000 * 255 * f * f < 2**24
-    weights = np.tile(LUMA_WEIGHTS, f).astype(np.float32 if exact32 else np.float64)
+@functools.lru_cache(maxsize=MAX_BLOCK)
+def _luma_weights(f: int) -> np.ndarray:
+    """The read-only float32 weights, ``LUMA_WEIGHTS`` tiled ``f`` times, for
+    blocks of side ``f``."""
+    weights = np.tile(LUMA_WEIGHTS, f).astype(np.float32)
     weights.flags.writeable = False
-    return (np.uint16 if exact32 else np.float64), weights
+    return weights
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,15 @@ class RefSnake:
         self.apple = None
         self.apple = self._spawn()
 
+    @classmethod
+    def from_state(cls, width, height, snake, heading, apple, score, max_steps, seed):
+        """A game already under way: ``snake`` head-first, ``heading`` a
+        letter of ``DELTA``, no step taken yet."""
+        ref = cls(width, height, 1, max_steps, seed)
+        ref.snake, ref.heading, ref.apple, ref.score = list(snake), heading, apple, score
+        ref.rng = np.random.Generator(np.random.PCG64(seed))
+        return ref
+
     def _free(self):
         cells = []
         for y in range(self.h):

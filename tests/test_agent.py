@@ -1,12 +1,14 @@
 """Agent behavior: exploration schedule, action choice, targets, learning."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snakedqn import agent as agent_module
-from snakedqn import env, harness, nn
+from snakedqn import harness, nn
 from snakedqn.agent import (
     Hyperparams,
     compute_targets,
@@ -413,20 +415,20 @@ class TestEndToEnd:
 
 class TestEvaluate:
     # Greedy play of an untrained net may circle: cap each episode's steps.
-    GRID = env.GridConfig(max_steps=200)
+    CAPPED = dataclasses.replace(HP, max_step=200)
 
     def test_agent_and_its_checkpoint_score_alike(self, tmp_path):
         agent = new_agent(HP, seed=4)
         path = tmp_path / "agent.bin"
         save_agent(path, agent, HP)
         for seed in (0, 5):
-            live = harness.evaluate(agent, episodes=3, seed=seed, grid=self.GRID)
-            loaded = harness.evaluate(path, episodes=3, seed=seed, grid=self.GRID)
+            live = harness.evaluate(agent, episodes=3, seed=seed, hp=self.CAPPED)
+            loaded = harness.evaluate(path, episodes=3, seed=seed, hp=self.CAPPED)
             assert live == loaded
             assert len(live.scores) == 3 and live.best == max(live.scores)
 
     def test_random_policy_repeats_under_a_seed(self):
-        runs = [harness.evaluate(None, episodes=4, epsilon=1.0, seed=seed, grid=self.GRID)
+        runs = [harness.evaluate(None, episodes=4, epsilon=1.0, seed=seed, hp=self.CAPPED)
                 for seed in (2, 2, 3)]
         assert runs[0] == runs[1]
         assert runs[0].mean == np.mean(runs[0].scores)

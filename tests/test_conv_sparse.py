@@ -13,6 +13,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from snakedqn import env, nn
+from snakedqn.agent import Hyperparams
 from snakedqn.harness import observe
 from snakedqn.nn import Conv2D, MaxPool2D, QNetwork
 from snakedqn.preprocess import stack_init, stack_push
@@ -199,12 +200,13 @@ class TestSparseGradients:
 def played_stacks(n, seed):
     """``n`` uint8 bit stacks from random Snake play, as the replay returns them."""
     rng = np.random.default_rng(seed)
-    state = env.reset(seed=seed)
+    max_step = Hyperparams().max_step
+    state = env.reset(seed=seed, max_step=max_step)
     stack = stack_init(observe(state))
     stacks = []
     while len(stacks) < n:
         if state.done:
-            state = env.reset(seed=seed + len(stacks))
+            state = env.reset(seed=seed + len(stacks), max_step=max_step)
             stack = stack_init(observe(state))
         state, _ = env.step(state, env.ACTIONS[rng.integers(4)])
         stack = stack_push(stack, observe(state))

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakedqn import env
-from snakedqn.env import Direction, GridConfig
+from snakedqn.agent import Hyperparams
+from snakedqn.env import Direction
+
+MAX_STEP = Hyperparams().max_step
+# Every cell of the board in one path: rows in turn, alternately right- and leftward.
+SERPENTINE = [(x if y % 2 == 0 else env.BOARD_CELLS - 1 - x, y)
+              for y in range(env.BOARD_CELLS) for x in range(env.BOARD_CELLS)]
 
 
-def make_state(body, heading, apple, config=None, seed=0, **kw):
-    config = config or GridConfig()
+def make_state(body, heading, apple, max_step=MAX_STEP, seed=0, **kw):
     return env.EnvState(
-        config=config,
+        max_step=max_step,
         body=tuple(body),
         heading=heading,
         apple=apple,
@@ -25,7 +30,7 @@ def make_state(body, heading, apple, config=None, seed=0, **kw):
 
 class TestReset:
     def test_default_placement(self):
-        state = env.reset(seed=0)
+        state = env.reset(seed=0, max_step=MAX_STEP)
         assert state.head == (6, 6)
         assert state.body == ((6, 6), (5, 6), (4, 6))
         assert state.heading == Direction.RIGHT
@@ -35,31 +40,26 @@ class TestReset:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123456789])
     def test_apple_off_body(self, seed):
-        state = env.reset(seed=seed)
+        state = env.reset(seed=seed, max_step=MAX_STEP)
         assert state.apple not in state.body
         assert not state.done
 
     def test_grid_golden(self):
-        state = env.reset(seed=0)
+        state = env.reset(seed=0, max_step=MAX_STEP)
         assert state.body == ((6, 6), (5, 6), (4, 6))
         assert state.apple == (2, 10)  # this seed's first apple
 
     def test_same_seed_same_state(self):
-        a = env.reset(seed=42)
-        b = env.reset(seed=42)
+        a = env.reset(seed=42, max_step=MAX_STEP)
+        b = env.reset(seed=42, max_step=MAX_STEP)
         assert a.body == b.body
         assert a.apple == b.apple
         assert a.heading == b.heading
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            GridConfig(width=0)
-        with pytest.raises(ValueError):
-            GridConfig(init_snake_len=12)
-        with pytest.raises(ValueError):
-            GridConfig(max_steps=0)
-        with pytest.raises(ValueError):
-            env.reset(GridConfig(width=5, height=5, init_snake_len=4), seed=0)
+        for max_step in (0, -1):
+            with pytest.raises(ValueError, match="max_step"):
+                env.reset(seed=0, max_step=max_step)
 
 
 class TestStep:
@@ -120,8 +120,7 @@ class TestStep:
             env.step(state, Direction.UP)
 
     def test_truncation_at_step_cap(self):
-        cfg = GridConfig(max_steps=1)
-        state = env.reset(cfg, seed=3)
+        state = env.reset(seed=3, max_step=1)
         state, out = env.step(state, Direction.RIGHT)
         assert out.reward == -0.1
         assert out.terminal
@@ -130,9 +129,7 @@ class TestStep:
         assert state.head == (7, 6)  # a move, not a collision
 
     def test_truncation_keeps_apple_reward(self):
-        cfg = GridConfig(max_steps=1)
-        state = make_state([(6, 6), (5, 6), (4, 6)], Direction.RIGHT, (7, 6),
-                           config=cfg)
+        state = make_state([(6, 6), (5, 6), (4, 6)], Direction.RIGHT, (7, 6), max_step=1)
         state, out = env.step(state, Direction.RIGHT)
         assert out.reward == 1.0
         assert out.terminal
@@ -140,44 +137,43 @@ class TestStep:
         assert state.apple is not None  # the board is not full: not a win
 
     def test_win_on_full_board(self):
-        cfg = GridConfig(width=2, height=2, init_snake_len=1)
-        state = make_state([(0, 1), (0, 0), (1, 0)], Direction.DOWN, (1, 1),
-                           config=cfg, score=2)
-        state, out = env.step(state, Direction.RIGHT)
-        assert out.reward == 1.0
-        assert out.terminal
+        # A 143-cell snake on the serpentine path, its head one cell short of
+        # the last free cell, where the apple is.
+        body = SERPENTINE[1:]
+        state = make_state(body, Direction.LEFT, SERPENTINE[0], score=140)
+        state, out = env.step(state, Direction.LEFT)
+        assert out.reward == env.REWARD_APPLE
+        assert out.terminal and state.done
         assert state.apple is None
-        assert state.score == 3
-        assert len(state.body) == 4
+        assert state.score == 141
+        assert state.body == tuple(SERPENTINE)
 
 
 class TestFreeCells:
     def test_default_reset_count(self):
-        state = env.reset(seed=0)
+        state = env.reset(seed=0, max_step=MAX_STEP)
         free = env.free_cells(state)
         assert len(free) == 144 - 3 - 1
 
     def test_disjoint_from_occupied(self):
-        state = env.reset(seed=5)
+        state = env.reset(seed=5, max_step=MAX_STEP)
         free = set(env.free_cells(state))
         assert free.isdisjoint(state.body)
         assert state.apple not in free
 
     def test_row_major_order(self):
-        state = env.reset(GridConfig(width=3, height=3, init_snake_len=1), seed=0)
+        state = make_state(SERPENTINE[20:], Direction.RIGHT, SERPENTINE[3])
         free = env.free_cells(state)
-        assert free == sorted(free, key=lambda c: (c[1], c[0]))
+        assert free == sorted(SERPENTINE[:3] + SERPENTINE[4:20], key=lambda c: (c[1], c[0]))
 
     def test_full_board_empty(self):
-        cfg = GridConfig(width=3, height=3, init_snake_len=1)
-        body = tuple((x, y) for y in range(3) for x in range(3))
-        state = make_state(body, Direction.RIGHT, None, config=cfg)
+        state = make_state(SERPENTINE, Direction.LEFT, None)
         assert env.free_cells(state) == []
 
 
 class TestRender:
     def test_white_pixel_count_at_reset(self):
-        state = env.reset(seed=0)
+        state = env.reset(seed=0, max_step=MAX_STEP)
         frame = env.render_rgb(state)
         assert frame.shape == (252, 252, 3)
         assert frame.dtype == np.uint8
@@ -189,36 +185,23 @@ class TestRender:
         assert not env.render_rgb(state).any()
 
     def test_render_deterministic(self):
-        state = env.reset(seed=9)
+        state = env.reset(seed=9, max_step=MAX_STEP)
         assert np.array_equal(env.render_rgb(state), env.render_rgb(state))
 
     def test_block_placement(self):
-        cfg = GridConfig()
-        state = make_state([(0, 0)], Direction.RIGHT, (11, 11), config=cfg)
+        state = make_state([(0, 0)], Direction.RIGHT, (11, 11))
         frame = env.render_rgb(state)
         assert (frame[:21, :21] == 255).all()
         assert (frame[231:, 231:] == 255).all()
         assert not frame[:21, 21:].any()
 
 
-@st.composite
-def walk_cases(draw):
-    width = draw(st.integers(4, 9))
-    height = draw(st.integers(4, 9))
-    init_len = draw(st.integers(1, width // 2 + 1))
-    seed = draw(st.integers(0, 2**32 - 1))
-    actions = draw(st.lists(st.sampled_from(list(Direction)), min_size=1, max_size=60))
-    return width, height, init_len, seed, actions
-
-
 class TestInvariants:
     @settings(max_examples=120, deadline=None)
-    @given(walk_cases())
-    def test_random_walk(self, case):
-        width, height, init_len, seed, actions = case
-        cfg = GridConfig(width=width, height=height, init_snake_len=init_len,
-                         max_steps=50)
-        state = env.reset(cfg, seed=seed)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.lists(st.sampled_from(list(Direction)), min_size=1, max_size=120))
+    def test_random_walk(self, seed, max_step, actions):
+        state = env.reset(seed=seed, max_step=max_step)
         prev_len = len(state.body)
         for action in actions:
             if state.done:
@@ -228,24 +211,30 @@ class TestInvariants:
             assert len(set(state.body)) == len(state.body) or state.done
             if not state.done:
                 assert state.apple not in state.body
-            assert state.score == len(state.body) - init_len
-            assert state.steps <= cfg.max_steps
+            assert state.score == len(state.body) - env.INIT_SNAKE_LEN
+            assert state.steps <= max_step
             # Only an apple grows the snake; a collision leaves the body as it was.
             assert len(state.body) == prev_len + (out.reward == 1.0)
             prev_len = len(state.body)
 
+    @staticmethod
+    def apples_chased(seed):
+        """The apples a snake that heads straight for each one sees, in order."""
+        state = env.reset(seed=seed, max_step=500)
+        apples = [state.apple]
+        while not state.done:
+            (hx, hy), (ax, ay) = state.head, state.apple
+            if ax != hx:
+                action = Direction.RIGHT if ax > hx else Direction.LEFT
+            else:
+                action = Direction.DOWN if ay > hy else Direction.UP
+            state, out = env.step(state, action)
+            if out.reward == env.REWARD_APPLE and not state.done:
+                apples.append(state.apple)
+        return apples
+
     def test_same_seed_same_apple_sequence(self):
-        cfg = GridConfig(width=6, height=6, init_snake_len=1, max_steps=500)
-        rng = np.random.default_rng(0)
-        actions = [Direction(int(a)) for a in rng.integers(0, 4, size=400)]
-        apples_a, apples_b = [], []
-        for apples in (apples_a, apples_b):
-            state = env.reset(cfg, seed=77)
-            apples.append(state.apple)
-            for action in actions:
-                if state.done:
-                    break
-                state, out = env.step(state, action)
-                if out.reward == 1.0:
-                    apples.append(state.apple)
-        assert apples_a == apples_b
+        apples = self.apples_chased(77)
+        assert len(apples) > 3
+        assert self.apples_chased(77) == apples
+        assert self.apples_chased(78) != apples

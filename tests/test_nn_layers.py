@@ -113,45 +113,40 @@ class TestConvForward:
 class TestMaxPool:
     def test_production_shapes(self):
         pool = MaxPool2D()
-        for in_shape, out_shape in [((21, 21, 32), (11, 11, 32)),
-                                    ((6, 6, 64), (3, 3, 64)),
+        for in_shape, out_shape in [((6, 6, 64), (3, 3, 64)),
                                     ((2, 2, 128), (1, 1, 128))]:
             x = np.zeros((2, *in_shape), dtype=np.float32)
             assert pool.forward(x, train=False).shape == (2, *out_shape)
 
+    @pytest.mark.parametrize("shape", [(1, 5, 4, 2), (1, 4, 5, 2), (2, 21, 21, 32)])
+    def test_odd_sizes_rejected(self, shape):
+        with pytest.raises(ValueError, match="even"):
+            MaxPool2D().forward(np.zeros(shape, dtype=np.float32), train=False)
+
     def test_constant_input(self):
         pool = MaxPool2D()
-        x = np.full((1, 5, 5, 2), 3.5, dtype=np.float64)
+        x = np.full((1, 6, 6, 2), 3.5, dtype=np.float64)
         assert (pool.forward(x, train=False) == 3.5).all()
 
-    def test_3x3_window_enumeration(self):
+    def test_4x4_window_enumeration(self):
         pool = MaxPool2D()
-        x = np.arange(1.0, 10.0).reshape(1, 3, 3, 1)
+        x = np.arange(1.0, 17.0).reshape(1, 4, 4, 1)
         out = pool.forward(x, train=False)[0, :, :, 0]
-        assert np.array_equal(out, [[5.0, 6.0], [8.0, 9.0]])
-
-    def test_padding_never_wins(self):
-        pool = MaxPool2D()
-        x = np.full((1, 3, 3, 1), -5.0)
-        out = pool.forward(x, train=False)
-        assert (out == -5.0).all()
-        assert np.isfinite(out).all()
+        assert np.array_equal(out, [[6.0, 8.0], [14.0, 16.0]])
 
     def test_train_idx_matches_stack_argmax(self):
         """The max, and a one-hot upstream gradient lands at the first argmax."""
         pool = MaxPool2D()
         rng = np.random.default_rng(3)
         for _ in range(50):
-            x = (rng.random((2, 5, 7, 3)) > 0.5).astype(np.float32)  # many ties
+            x = (rng.random((2, 6, 8, 3)) > 0.5).astype(np.float32)  # many ties
             out = pool.forward(x, train=True)
-            xp = np.pad(x, ((0, 0), (0, 1), (0, 1), (0, 0)), constant_values=-np.inf)
-            stacked = np.stack([xp[:, i::2, j::2] for i in range(2) for j in range(2)], axis=-1)
+            stacked = np.stack([x[:, i::2, j::2] for i in range(2) for j in range(2)], axis=-1)
             assert np.array_equal(out, stacked.max(-1))
             # Windows do not overlap, so an all-ones upstream gradient is a
             # one-hot per window.
             dx = pool.backward(np.ones_like(out))
-            dxp = np.pad(dx, ((0, 0), (0, 1), (0, 1), (0, 0)))
-            taps = np.stack([dxp[:, i::2, j::2] for i in range(2) for j in range(2)], axis=-1)
+            taps = np.stack([dx[:, i::2, j::2] for i in range(2) for j in range(2)], axis=-1)
             assert np.array_equal(taps, np.arange(4) == stacked.argmax(-1)[..., None])
 
 
@@ -172,8 +167,8 @@ def pool_input(kind, shape, dtype, seed=0):
 class TestMaxPoolOracle:
     """Bit-for-bit against the pad-everything, argmax-index layer."""
 
-    SHAPES = [(32, 21, 21, 32), (32, 6, 6, 64), (32, 2, 2, 128),  # production
-              (3, 5, 7, 2), (2, 4, 6, 3), (2, 1, 1, 2), (1, 3, 2, 1), (2, 8, 5, 1)]
+    SHAPES = [(32, 22, 22, 32), (32, 6, 6, 64), (32, 2, 2, 128),  # production, and larger
+              (3, 6, 8, 2), (2, 4, 6, 3), (2, 2, 2, 2), (1, 4, 2, 1), (2, 8, 6, 1)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("kind", ["random", "binary", "relu_rows", "signed_zeros"])
@@ -192,7 +187,7 @@ class TestMaxPoolOracle:
         assert dx.tobytes() == dx_want.tobytes()
 
     def test_non_contiguous_input(self):
-        x = pool_input("random", (2, 9, 7, 6), np.float32)[..., ::2]
+        x = pool_input("random", (2, 10, 8, 6), np.float32)[..., ::2]
         pool, oracle = MaxPool2D(), OracleMaxPool2D()
         assert pool.forward(x, train=True).tobytes() == oracle.forward(x, train=True).tobytes()
         dout = np.ones((2, 5, 4, 3), dtype=np.float32)
@@ -287,7 +282,7 @@ class TestGradients:
     def test_maxpool_input_gradient(self):
         rng = np.random.default_rng(4)
         layer = MaxPool2D()
-        x = rng.normal(size=(3, 7, 7, 2))
+        x = rng.normal(size=(3, 8, 8, 2))
         coeffs = self._coeffs(layer.forward(x, train=False).shape)
         assert max_input_rel_error(layer, x, coeffs) < 1e-6
 

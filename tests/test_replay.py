@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from snakedqn import env as game
 from snakedqn import replay
+from snakedqn.agent import Hyperparams
 from snakedqn.harness import observe
 from snakedqn.preprocess import (FRAME_SIDE, PACKED_BYTES, BinaryFrame, FrameStack, stack_init,
                                  stack_push)
@@ -169,7 +170,7 @@ def random_play_frames(count, seed):
     rng = np.random.default_rng(seed)
     frames = []
     while len(frames) < count:
-        state = game.reset(game.GridConfig(), int(rng.integers(2**63)))
+        state = game.reset(int(rng.integers(2**63)), Hyperparams().max_step)
         frames.append(observe(state))
         while not state.done and len(frames) < count:
             state, _ = game.step(state, game.ACTIONS[int(rng.integers(4))])

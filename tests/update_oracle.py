@@ -1,15 +1,15 @@
 """Reference max-pool layer and Adam step (test-side oracles).
 
 These are ``nn.MaxPool2D`` and ``optim.adam_step`` as they were before the
-update step stopped allocating full-array temporaries: the pool pads every
-input with -inf, keeps a first-occurrence argmax index built by ``np.where``
+update step stopped allocating full-array temporaries: the pool same-pads
+every input with -inf (odd sizes too, which the layer no longer takes), keeps a first-occurrence argmax index built by ``np.where``
 and scatters its backward into a zero-filled buffer; Adam builds each term
 as a fresh array. The production code must match them bit for bit.
 """
 
 import numpy as np
 
-from snakedqn.nn import MaxPool2D, pad_spatial, same_pad
+from snakedqn.nn import MaxPool2D, same_pad
 from snakedqn.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, zero_moments
 
 
@@ -19,7 +19,7 @@ class OracleMaxPool2D(MaxPool2D):
         k, s = self.kernel, self.stride
         oh, pt, pb = same_pad(h, k, s)
         ow, pl, pr = same_pad(w, k, s)
-        xp = pad_spatial(x, pt, pb, pl, pr, fill=-np.inf)
+        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=-np.inf)
         views = [
             xp[:, i : i + (oh - 1) * s + 1 : s, j : j + (ow - 1) * s + 1 : s, :]
             for i in range(k)
