@@ -10,6 +10,7 @@ from snakedqn import env, harness, preprocess
 from snakedqn.agent import Hyperparams
 from snakedqn.preprocess import (
     FRAME_SIDE,
+    MAX_BLOCK,
     BinaryFrame,
     binary_observation,
     stack_init,
@@ -109,6 +110,13 @@ class TestBinarize:
         assert set(np.unique(bits)) <= {0, 1}
 
 
+def assert_rejected(frame):
+    """Blocks above MAX_BLOCK px are refused: float32 would no longer hold
+    every luma sum of such a block exactly."""
+    with pytest.raises(ValueError, match=f"at most {MAX_BLOCK} px"):
+        binary_observation(frame)
+
+
 @st.composite
 def rgb_frames(draw):
     """Frames that tile to 84x84, made by repeating a drawn patch.
@@ -126,13 +134,16 @@ def rgb_frames(draw):
 
 
 class TestBinaryObservation:
-    @pytest.mark.parametrize("f", [1, 2, 3, 8])
+    @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 12])
     def test_matches_exact_oracle(self, f):
         rng = np.random.default_rng(f)
         side = FRAME_SIDE * f
         for lo, hi in [(0, 255), (126, 129)]:
             frame = rng.integers(lo, hi + 1, size=(side, side, 3), dtype=np.uint8)
-            assert binary_observation(frame) == exact_observation(frame)
+            if f > MAX_BLOCK:
+                assert_rejected(frame)
+            else:
+                assert binary_observation(frame) == exact_observation(frame)
 
     @settings(max_examples=60, deadline=None)
     @given(rgb_frames())
@@ -144,13 +155,7 @@ class TestBinaryObservation:
         off = block_luma_sums(frame) != 127_500 * f * f
         assert np.array_equal(got[off], chain_observation(frame).to_array()[off])
 
-    @pytest.mark.parametrize("f", [9, 12])
-    def test_rejects_blocks_above_max_block(self, f):
-        # float32 would no longer hold every luma sum of such a block exactly.
-        with pytest.raises(ValueError, match="at most 8 px"):
-            binary_observation(np.zeros((FRAME_SIDE * f,) * 2 + (3,), dtype=np.uint8))
-
-    @pytest.mark.parametrize("f", [1, 2, 3, 8])
+    @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 12])
     def test_threshold_is_strict_and_exact(self, f):
         # Block (5, 7) sums to exactly 127500 f^2: a mean luma of 127.5.
         pixels = [[127] * 3, [128] * 3] * (f * f // 2)
@@ -160,12 +165,18 @@ class TestBinaryObservation:
         block = frame[5 * f:6 * f, 7 * f:8 * f]
         block[...] = np.reshape(pixels, (f, f, 3))
         assert block_luma_sums(frame)[5, 7] == 127_500 * f * f
-        assert not binary_observation(frame).to_array().any()
+        if f > MAX_BLOCK:
+            assert_rejected(frame)
+        else:
+            assert not binary_observation(frame).to_array().any()
         # One more unit of luma sum sets the bit.
         block[-1, -1] = [2, 189, 140] if f % 2 else [2, 205, 62]
         assert block_luma_sums(frame)[5, 7] == 127_500 * f * f + 1
-        bits = binary_observation(frame).to_array()
-        assert bits[5, 7] and bits.sum() == 1
+        if f > MAX_BLOCK:
+            assert_rejected(frame)
+        else:
+            bits = binary_observation(frame).to_array()
+            assert bits[5, 7] and bits.sum() == 1
 
     def test_chain_rounds_at_the_threshold(self):
         """Why the chain oracle is compared off the boundary only."""
