@@ -5,12 +5,11 @@ from .agent import AgentState, Hyperparams, epsilon_at, load_agent, new_agent, s
 from .env import Direction, EnvState, StepOutcome, reset, step
 from .harness import EvalResult, TrainConfig, evaluate, memreport_text, train
 from .nn import QNetwork, build_q_network
-from .preprocess import BinaryFrame, FrameStack
+from .preprocess import FrameStack
 from .replay import Experience, ReplayBuffer
 
 __all__ = [
     "AgentState",
-    "BinaryFrame",
     "Direction",
     "EnvState",
     "EvalResult",

@@ -179,11 +179,13 @@ def _checkpoint_arrays(agent: AgentState) -> dict[str, np.ndarray]:
     ``save_agent`` writes these and ``load_agent`` copies into them, so this
     is the one statement of the file layout between ``meta/n_actions`` and
     the counters. An optimizer that has not stepped yet holds no moments;
-    they are listed as the zeros it would start from.
+    they are listed as the zeros it would start from, each a read-only view
+    of one zero that the writer expands one record at a time.
     """
     m, v = agent.adam.m, agent.adam.v
     if not m:
-        m = v = zero_moments(agent.online.params())
+        m = v = {name: np.broadcast_to(np.zeros((), p.dtype), p.shape)
+                 for name, p in agent.online.params().items()}
     groups = {"online/": agent.online.state_arrays(), "target/": agent.target.state_arrays(),
               "adam/m/": m, "adam/v/": v}
     return {prefix + name: arr for prefix, arrays in groups.items() for name, arr in arrays.items()}

@@ -58,8 +58,9 @@ def write_records(path, records: dict[str, np.ndarray]) -> None:
     The bytes go to a temporary file in the same directory, which is then
     renamed over ``path``: a process killed mid-save leaves the previous
     checkpoint intact. (No fsync, so this does not cover a power loss.)
-    Each array is written from its own memory and the CRC is updated piece
-    by piece, so a save copies no array.
+    A C-contiguous array in its stored dtype is written from its own memory,
+    any other is copied one record at a time, and the CRC is updated piece by
+    piece.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:

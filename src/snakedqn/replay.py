@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import FRAME_SIDE, PACKED_BYTES, STACK_DEPTH, FrameStack
+from .preprocess import FRAME_SIDE, PACKED_BYTES, STACK_DEPTH, FrameStack, frame_bits
 
 # A sampled row decodes its state's frames plus its next frame.
 _WINDOW = STACK_DEPTH + 1
@@ -216,9 +216,9 @@ class ReplayBuffer:
         return frames + columns
 
 
-def _deflate(frame) -> bytes:
+def _deflate(frame: bytes) -> bytes:
     """The ring's row for ``frame``: its bits packed bit-planar, then deflated."""
-    planes = frame.to_array().reshape(8, PACKED_BYTES)
+    planes = frame_bits(frame).reshape(8, PACKED_BYTES)
     deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED,
                                 _DEFLATE_WBITS, _DEFLATE_MEM_LEVEL)
     return deflater.compress(np.packbits(planes.T).tobytes()) + deflater.flush()

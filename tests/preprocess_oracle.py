@@ -9,12 +9,21 @@ definition in int64: a bit is set iff the block's luma sum
 The two oracles agree except on blocks whose luma sum equals the threshold
 exactly: there the chain's mean is 127.5 give or take a rounding error,
 and it can read as just above 127.5. Rendered game frames hold only 0 and
-255, so no such block occurs in them.
+255, so no such block occurs in them. ``pack_frame`` packs test bits into a
+frame, the 882 bytes ``binary_observation`` returns.
 """
 
 import numpy as np
 
-from snakedqn.preprocess import BINARIZE_THRESHOLD, FRAME_SIDE, LUMA_WEIGHTS, BinaryFrame
+from snakedqn.preprocess import BINARIZE_THRESHOLD, FRAME_SIDE, LUMA_WEIGHTS
+
+
+def pack_frame(bits) -> bytes:
+    """(84, 84) 0/1 or bool bits as the frame ``binary_observation`` returns."""
+    bits = np.asarray(bits)
+    if bits.shape != (FRAME_SIDE, FRAME_SIDE):
+        raise ValueError(f"expected {FRAME_SIDE}x{FRAME_SIDE} bits, got {bits.shape}")
+    return np.packbits(bits).tobytes()
 
 
 def to_grayscale(frame: np.ndarray) -> np.ndarray:
@@ -38,12 +47,12 @@ def downscale(gray: np.ndarray, factor: int = 3) -> np.ndarray:
     return gray.reshape(oh, factor, ow, factor).mean(axis=(1, 3))
 
 
-def binarize(gray: np.ndarray, threshold: float = BINARIZE_THRESHOLD) -> BinaryFrame:
+def binarize(gray: np.ndarray, threshold: float = BINARIZE_THRESHOLD) -> bytes:
     """Threshold to bits: 1 iff strictly above ``threshold``."""
-    return BinaryFrame.from_array(gray > threshold)
+    return pack_frame(gray > threshold)
 
 
-def chain_observation(rgb_frame: np.ndarray) -> BinaryFrame:
+def chain_observation(rgb_frame: np.ndarray) -> bytes:
     """The float64 pipeline ``binary_observation`` ran before the integer kernel."""
     gray = to_grayscale(rgb_frame)
     factor = gray.shape[0] // FRAME_SIDE
@@ -57,8 +66,8 @@ def block_luma_sums(rgb_frame: np.ndarray) -> np.ndarray:
     return luma.reshape(FRAME_SIDE, f, FRAME_SIDE, f).sum(axis=(1, 3))
 
 
-def exact_observation(rgb_frame: np.ndarray) -> BinaryFrame:
+def exact_observation(rgb_frame: np.ndarray) -> bytes:
     """The kernel's definition in int64 arithmetic."""
     f = rgb_frame.shape[0] // FRAME_SIDE
     limit = int(1000 * BINARIZE_THRESHOLD) * f * f
-    return BinaryFrame.from_array(block_luma_sums(rgb_frame) > limit)
+    return pack_frame(block_luma_sums(rgb_frame) > limit)

@@ -9,8 +9,10 @@ does, so the ring accepts them.
 
 import numpy as np
 
-from snakedqn.preprocess import FRAME_SIDE, STACK_DEPTH, BinaryFrame, stack_init, stack_push
+from snakedqn.preprocess import FRAME_SIDE, STACK_DEPTH, stack_init, stack_push
 from snakedqn.replay import Batch, Experience
+
+from preprocess_oracle import pack_frame
 
 
 class ListReplayBuffer:
@@ -50,14 +52,14 @@ class ListReplayBuffer:
         """Packed frame bytes, counting every stack slot (no sharing credit)."""
         total = 0
         for exp in self._entries:
-            total += sum(len(f.packed) for f in exp.state.frames)
-            total += sum(len(f.packed) for f in exp.next_state.frames)
+            total += sum(map(len, exp.state.frames))
+            total += sum(map(len, exp.next_state.frames))
         return total
 
 
 def _batch_inputs(stacks, dtype) -> np.ndarray:
     """(n, 84, 84, 4) batch of ``FrameStack.to_input`` values, unpacked in one pass."""
-    packed = b"".join(frame.packed for stack in stacks for frame in stack.frames)
+    packed = b"".join(frame for stack in stacks for frame in stack.frames)
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     bits = bits.reshape(len(stacks), STACK_DEPTH, FRAME_SIDE, FRAME_SIDE)
     return bits.transpose(0, 2, 3, 1).astype(dtype, order="C")
@@ -82,11 +84,11 @@ def assert_batches_equal(got: Batch, want: Batch) -> None:
         assert a.tobytes() == b.tobytes(), name
 
 
-def cell_frame(rng, cells: int = 12) -> BinaryFrame:
+def cell_frame(rng, cells: int = 12) -> bytes:
     """A Snake-like frame: a few set 3x3 cells on a clear 28x28 grid."""
     grid = np.zeros((FRAME_SIDE // 3, FRAME_SIDE // 3), dtype=bool)
     grid.flat[rng.choice(grid.size, size=cells, replace=False)] = True
-    return BinaryFrame.from_array(np.kron(grid, np.ones((3, 3), dtype=bool)))
+    return pack_frame(np.kron(grid, np.ones((3, 3), dtype=bool)))
 
 
 # Distinct frames for ``episodes`` to draw from; generating a frame per step

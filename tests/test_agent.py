@@ -23,10 +23,11 @@ from snakedqn.agent import (
 )
 from snakedqn.checkpoint import read_records
 from snakedqn.nn import Dense, Flatten, QNetwork
-from snakedqn.preprocess import BinaryFrame, FrameStack
+from snakedqn.preprocess import FrameStack
 from snakedqn.replay import Experience, ReplayBuffer
 
 from dense_conv import DenseConv2D
+from preprocess_oracle import pack_frame
 from replay_oracle import _batch_inputs, episodes, oracle_batch
 from update_oracle import OracleMaxPool2D, oracle_adam_step
 
@@ -35,7 +36,7 @@ HP = Hyperparams()
 
 def make_stack(seed=0):
     bits = (np.random.default_rng(seed).random((84, 84)) > 0.9).astype(np.uint8)
-    frame = BinaryFrame.from_array(bits)
+    frame = pack_frame(bits)
     return FrameStack((frame,) * 4)
 
 
@@ -142,7 +143,7 @@ class TestBatchInputs:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_stacked_to_input(self, dtype):
         rng = np.random.default_rng(4)
-        frames = [BinaryFrame.from_array(rng.random((84, 84)) < p)
+        frames = [pack_frame(rng.random((84, 84)) < p)
                   for p in (0.0, 0.03, 0.5, 1.0, 0.1)]
         stacks = [FrameStack(tuple(frames[(i + j) % 5] for j in range(4)))
                   for i in range(7)]

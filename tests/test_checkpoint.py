@@ -317,3 +317,32 @@ class TestAdamMomentsBeforeFirstUpdate:
         resaved = tmp_path / "again.bin"
         save_agent(resaved, loaded, Hyperparams())
         assert resaved.read_bytes() == path.read_bytes()
+
+    def test_fresh_save_holds_one_zero_record_at_a_time(self, tmp_path):
+        """A fresh agent's save peaks below its largest record plus 64 KiB,
+        not at a parameter-sized set of zero moments, and writes the zero
+        moments as the reference encoding does."""
+        hp = Hyperparams()
+        agent = new_agent(hp, seed=3)
+        params = agent.online.params()
+        largest = max(p.nbytes for p in params.values())
+        assert largest == params["dense2.w"].nbytes == 1_048_576
+        path = tmp_path / "fresh.bin"
+        tracemalloc.start()
+        try:
+            save_agent(path, agent, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= largest + 64 * 1024
+        assert agent.adam.m == {} and agent.adam.v == {}
+        zeros = {name: np.zeros_like(p) for name, p in params.items()}
+        groups = {"online/": agent.online.state_arrays(), "target/": agent.target.state_arrays(),
+                  "adam/m/": zeros, "adam/v/": zeros}
+        assert path.read_bytes() == reference_bytes({
+            "meta/n_actions": np.int64(4),
+            **{prefix + name: arr for prefix, arrays in groups.items()
+               for name, arr in arrays.items()},
+            "adam/t": np.int64(0),
+            "frame_count": np.int64(0),
+        })

@@ -10,12 +10,13 @@ from snakedqn import env, harness, preprocess
 from snakedqn.agent import Hyperparams
 from snakedqn.preprocess import (
     FRAME_SIDE,
-    MAX_BLOCK,
-    BinaryFrame,
+    PACKED_BYTES,
     binary_observation,
+    frame_bits,
     stack_init,
     stack_push,
 )
+from snakedqn.replay import Experience, ReplayBuffer
 
 from preprocess_oracle import (
     binarize,
@@ -23,8 +24,10 @@ from preprocess_oracle import (
     chain_observation,
     downscale,
     exact_observation,
+    pack_frame,
     to_grayscale,
 )
+from replay_oracle import ListReplayBuffer, assert_batches_equal, episodes, oracle_batch
 
 
 def rgb_fill(r, g, b):
@@ -93,70 +96,73 @@ class TestDownscale:
 
 class TestBinarize:
     def test_trivials(self):
-        assert not binarize(np.zeros((84, 84))).to_array().any()
-        assert binarize(np.full((84, 84), 255.0)).to_array().all()
+        assert not frame_bits(binarize(np.zeros((84, 84)))).any()
+        assert frame_bits(binarize(np.full((84, 84), 255.0))).all()
 
     def test_strict_threshold(self):
         gray = np.zeros((84, 84))
         gray[0, :3] = [100.0, 127.5, 200.0]
-        bits = binarize(gray).to_array()
+        bits = frame_bits(binarize(gray))
         assert list(bits[0, :3]) == [0, 0, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64, (84, 84),
                       elements=st.floats(-1e3, 1e3, allow_nan=False)))
     def test_output_is_binary(self, gray):
-        bits = binarize(gray).to_array()
+        bits = frame_bits(binarize(gray))
         assert set(np.unique(bits)) <= {0, 1}
 
 
-def assert_rejected(frame):
-    """Blocks above MAX_BLOCK px are refused: float32 would no longer hold
-    every luma sum of such a block exactly."""
-    with pytest.raises(ValueError, match=f"at most {MAX_BLOCK} px"):
+# Block sides of 84 f-px frames. Only the board's, 3 (252 px), is observed;
+# every other frame is refused.
+BLOCK_SIDES = [1, 2, 3, 8, 9, 12]
+
+
+def assert_refused(frame):
+    with pytest.raises(ValueError, match=r"expected a \(252, 252, 3\) RGB frame"):
         binary_observation(frame)
 
 
 @st.composite
 def rgb_frames(draw):
-    """Frames that tile to 84x84, made by repeating a drawn patch.
+    """Board-sized frames made by repeating a drawn patch.
 
-    The patch's period need not divide the block side, so blocks see many
-    pixel mixes; channel values lean towards the 127.5 threshold.
+    The patch's period need not divide the 3-px block side, so blocks see
+    many pixel mixes; channel values lean towards the 127.5 threshold.
     """
-    f = draw(st.sampled_from([1, 2, 3]))
     channel = st.one_of(st.integers(0, 255), st.integers(124, 131))
-    period = draw(st.integers(1, 2 * f + 1))
+    period = draw(st.integers(1, 7))
     patch = draw(hnp.arrays(np.uint8, (period, period, 3), elements=channel))
-    side = FRAME_SIDE * f
-    reps = -(-side // period)
-    return np.tile(patch, (reps, reps, 1))[:side, :side]
+    reps = -(-env.FRAME_PX // period)
+    return np.tile(patch, (reps, reps, 1))[:env.FRAME_PX, :env.FRAME_PX]
 
 
 class TestBinaryObservation:
-    @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 12])
+    @pytest.mark.parametrize("f", BLOCK_SIDES)
     def test_matches_exact_oracle(self, f):
+        """The board's frames match the int64 oracle; other sizes are refused."""
         rng = np.random.default_rng(f)
         side = FRAME_SIDE * f
         for lo, hi in [(0, 255), (126, 129)]:
             frame = rng.integers(lo, hi + 1, size=(side, side, 3), dtype=np.uint8)
-            if f > MAX_BLOCK:
-                assert_rejected(frame)
-            else:
+            if f == 3:
                 assert binary_observation(frame) == exact_observation(frame)
+            else:
+                assert_refused(frame)
 
     @settings(max_examples=60, deadline=None)
     @given(rgb_frames())
     def test_matches_oracles(self, frame):
-        got = binary_observation(frame).to_array()
-        assert np.array_equal(got, exact_observation(frame).to_array())
+        got = frame_bits(binary_observation(frame))
+        assert np.array_equal(got, frame_bits(exact_observation(frame)))
         # Off the exact boundary the float64 chain's rounding cannot matter.
-        f = frame.shape[0] // FRAME_SIDE
-        off = block_luma_sums(frame) != 127_500 * f * f
-        assert np.array_equal(got[off], chain_observation(frame).to_array()[off])
+        off = block_luma_sums(frame) != 127_500 * 9
+        assert np.array_equal(got[off], frame_bits(chain_observation(frame))[off])
 
-    @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 12])
+    @pytest.mark.parametrize("f", BLOCK_SIDES)
     def test_threshold_is_strict_and_exact(self, f):
+        """At the board's block side the bit is set strictly above the
+        threshold sum. The int64 oracle's boundary sums hold at every side."""
         # Block (5, 7) sums to exactly 127500 f^2: a mean luma of 127.5.
         pixels = [[127] * 3, [128] * 3] * (f * f // 2)
         if f % 2:
@@ -165,35 +171,35 @@ class TestBinaryObservation:
         block = frame[5 * f:6 * f, 7 * f:8 * f]
         block[...] = np.reshape(pixels, (f, f, 3))
         assert block_luma_sums(frame)[5, 7] == 127_500 * f * f
-        if f > MAX_BLOCK:
-            assert_rejected(frame)
+        if f == 3:
+            assert not frame_bits(binary_observation(frame)).any()
         else:
-            assert not binary_observation(frame).to_array().any()
+            assert_refused(frame)
         # One more unit of luma sum sets the bit.
         block[-1, -1] = [2, 189, 140] if f % 2 else [2, 205, 62]
         assert block_luma_sums(frame)[5, 7] == 127_500 * f * f + 1
-        if f > MAX_BLOCK:
-            assert_rejected(frame)
-        else:
-            bits = binary_observation(frame).to_array()
+        if f == 3:
+            bits = frame_bits(binary_observation(frame))
             assert bits[5, 7] and bits.sum() == 1
+        else:
+            assert_refused(frame)
 
     def test_chain_rounds_at_the_threshold(self):
         """Why the chain oracle is compared off the boundary only."""
-        frame = np.zeros((168, 168, 3), dtype=np.uint8)
-        frame[:2, :2] = [[[158, 152, 113], [128, 135, 154]],
-                         [[108, 145, 155], [203, 3, 246]]]
-        assert block_luma_sums(frame)[0, 0] == 510_000
-        assert not binary_observation(frame).to_array()[0, 0]
-        assert chain_observation(frame).to_array()[0, 0]
+        frame = np.zeros((252, 252, 3), dtype=np.uint8)
+        frame[:3, :3] = [[[116, 64, 115], [176, 166, 120], [81, 186, 112]],
+                         [[60, 168, 135], [152, 153, 62], [90, 132, 186]],
+                         [[61, 75, 132], [168, 167, 166], [106, 81, 251]]]
+        assert block_luma_sums(frame)[0, 0] == 127_500 * 9
+        assert not frame_bits(binary_observation(frame))[0, 0]
+        assert frame_bits(chain_observation(frame))[0, 0]
 
     @pytest.mark.parametrize("shape", [
         (252, 252), (252, 252, 4), (252, 336, 3), (336, 252, 3),
         (250, 250, 3), (255, 255, 3), (42, 42, 3), (0, 0, 3),
     ])
     def test_rejects_frames_not_tiling_to_84(self, shape):
-        with pytest.raises(ValueError):
-            binary_observation(np.zeros(shape, dtype=np.uint8))
+        assert_refused(np.zeros(shape, dtype=np.uint8))
 
     def test_rejects_non_uint8(self):
         with pytest.raises(ValueError, match="uint8"):
@@ -201,25 +207,43 @@ class TestBinaryObservation:
 
 
 class TestBinaryFrame:
+    """A binary frame is the 882 bytes of its packed bits."""
+
     def test_roundtrip_and_size(self):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=(84, 84))
-        frame = BinaryFrame.from_array(bits)
-        assert len(frame.packed) == 882
-        assert np.array_equal(frame.to_array(), bits)
-
-    def test_equality(self):
-        a = BinaryFrame.from_array(np.ones((84, 84), dtype=np.uint8))
-        b = BinaryFrame.from_array(np.ones((84, 84), dtype=np.uint8))
-        c = BinaryFrame.from_array(np.zeros((84, 84), dtype=np.uint8))
-        assert a == b and hash(a) == hash(b)
-        assert a != c
+        frame = pack_frame(bits)
+        assert len(frame) == PACKED_BYTES == 882
+        assert np.array_equal(frame_bits(frame), bits)
+        observed = binary_observation(env.render_rgb(env.reset(seed=1, max_step=10)))
+        assert type(observed) is bytes and len(observed) == PACKED_BYTES
 
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
-            BinaryFrame(b"\x00" * 10)
-        with pytest.raises(ValueError):
-            BinaryFrame.from_array(np.zeros((10, 10)))
+        """A frame of another length fails numpy's reshape where it is
+        unpacked, and the ring it was pushed to stays as it was."""
+        exps = episodes([5, 4], last_terminal=False)
+        ring, oracle = ReplayBuffer(16), ListReplayBuffer(16)
+        for exp in exps:
+            ring.push(exp)
+            oracle.push(exp)
+        tail = exps[-1].next_state
+        for size in (0, 10, PACKED_BYTES - 1, PACKED_BYTES + 1):
+            bad = b"\x00" * size
+            with pytest.raises(ValueError, match="reshape"):
+                stack_init(bad).to_input()
+            with pytest.raises(ValueError, match="reshape"):  # an episode's next frame
+                ring.push(Experience(tail, 0, -0.1, stack_push(tail, bad), False))
+        end = Experience(tail, 1, -1.0, stack_push(tail, tail.frames[0]), True)
+        ring.push(end)
+        oracle.push(end)
+        for size in (0, 10, PACKED_BYTES - 1, PACKED_BYTES + 1):
+            bad = b"\x00" * size
+            with pytest.raises(ValueError, match="reshape"):  # a new episode's first frame
+                ring.push(Experience(stack_init(bad), 0, -0.1, stack_init(bad), False))
+        assert len(ring) == len(exps) + 1
+        for seed in range(3):
+            want = oracle_batch(oracle.sample(len(oracle), np.random.default_rng(seed)))
+            assert_batches_equal(ring.sample(len(ring), np.random.default_rng(seed)), want)
 
 
 class TestFrameStack:
@@ -228,7 +252,7 @@ class TestFrameStack:
         for i in range(n):
             bits = np.zeros((84, 84), dtype=np.uint8)
             bits[0, i] = 1
-            out.append(BinaryFrame.from_array(bits))
+            out.append(pack_frame(bits))
         return out
 
     def test_init_repeats_first(self):
@@ -238,7 +262,7 @@ class TestFrameStack:
         assert len(stack.frames) == 4
 
     def test_init_zero_tensor(self):
-        zero = BinaryFrame.from_array(np.zeros((84, 84), dtype=np.uint8))
+        zero = pack_frame(np.zeros((84, 84), dtype=np.uint8))
         assert not stack_init(zero).to_input().any()
 
     def test_push_order(self):
@@ -289,8 +313,8 @@ class TestMemoryAccounting:
                           "Binary byte": 7_056, "Binary packed": 882}
         rgb = env.render_rgb(env.reset(seed=0, max_step=Hyperparams().max_step))
         frame = binary_observation(rgb)
-        assert nbytes["Binary packed"] == len(frame.packed)
-        assert nbytes["Binary byte"] == frame.to_array().size
+        assert nbytes["Binary packed"] == len(frame)
+        assert nbytes["Binary byte"] == frame_bits(frame).size
 
     def test_kb_values(self):
         kb = {label: value for label, (_, value) in self.frame_table().items()}
@@ -308,7 +332,7 @@ class TestMemoryAccounting:
 class TestEndToEnd:
     def test_occupied_cells_become_7x7_blocks(self):
         state = env.reset(seed=0, max_step=Hyperparams().max_step)
-        bits = binary_observation(env.render_rgb(state)).to_array()
+        bits = frame_bits(binary_observation(env.render_rgb(state)))
         expected = np.zeros((84, 84), dtype=np.uint8)
         for x, y in list(state.body) + [state.apple]:
             expected[y * 7 : (y + 1) * 7, x * 7 : (x + 1) * 7] = 1
@@ -317,7 +341,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_count_tracks_occupied_cells(self, seed):
         state = env.reset(seed=seed, max_step=Hyperparams().max_step)
-        bits = binary_observation(env.render_rgb(state)).to_array()
+        bits = frame_bits(binary_observation(env.render_rgb(state)))
         assert bits.sum() == 4 * 49
 
     def test_train_matches_chain_oracle(self, tmp_path, monkeypatch):

@@ -13,10 +13,11 @@ from snakedqn import env as game
 from snakedqn import replay
 from snakedqn.agent import Hyperparams
 from snakedqn.harness import observe
-from snakedqn.preprocess import (FRAME_SIDE, PACKED_BYTES, BinaryFrame, FrameStack, stack_init,
+from snakedqn.preprocess import (FRAME_SIDE, PACKED_BYTES, FrameStack, frame_bits, stack_init,
                                  stack_push)
 from snakedqn.replay import _SEGMENT_ROWS, Experience, ReplayBuffer, _deflate
 
+from preprocess_oracle import pack_frame
 from replay_oracle import ListReplayBuffer, assert_batches_equal, episodes, oracle_batch
 
 
@@ -135,7 +136,7 @@ class TestAgainstOracle:
 
     def test_start_must_be_four_equal_frames(self):
         rng = np.random.default_rng(0)
-        frames = [BinaryFrame.from_array(rng.random((84, 84)) < 0.03) for _ in range(5)]
+        frames = [pack_frame(rng.random((84, 84)) < 0.03) for _ in range(5)]
         state = FrameStack(tuple(frames[:4]))
         buf = ReplayBuffer(8)
         with pytest.raises(ValueError):
@@ -144,7 +145,7 @@ class TestAgainstOracle:
 
     def test_next_state_must_follow_state(self):
         rng = np.random.default_rng(0)
-        frames = [BinaryFrame.from_array(rng.random((84, 84)) < 0.03) for _ in range(2)]
+        frames = [pack_frame(rng.random((84, 84)) < 0.03) for _ in range(2)]
         buf = ReplayBuffer(8)
         with pytest.raises(ValueError):
             buf.push(Experience(stack_init(frames[0]), 0, -0.1, stack_init(frames[1]), False))
@@ -255,8 +256,7 @@ class TestSegments:
         """Frames of 50% density deflate to the worst-case 893-byte row, and
         64 of them still fit one segment's uint16 offsets."""
         rng = np.random.default_rng(5)
-        frames = [BinaryFrame.from_array((rng.random((FRAME_SIDE, FRAME_SIDE)) < 0.5)
-                                         .astype(np.uint8)) for _ in range(80)]
+        frames = [pack_frame(rng.random((FRAME_SIDE, FRAME_SIDE)) < 0.5) for _ in range(80)]
         exps = chained(frames, [79], rng)
         ring, oracle = ReplayBuffer(100), ListReplayBuffer(100)
         for exp in exps:
@@ -315,8 +315,8 @@ class TestDeflate:
         """A ring row inflates to the bit-planar frame, and its smaller deflate
         state costs at most a byte over zlib's defaults, on any density."""
         bits = np.random.default_rng(3).random((FRAME_SIDE, FRAME_SIDE)) < density
-        frame = BinaryFrame.from_array(bits.astype(np.uint8))
-        packed = np.packbits(frame.to_array().reshape(8, PACKED_BYTES).T).tobytes()
+        frame = pack_frame(bits)
+        packed = np.packbits(frame_bits(frame).reshape(8, PACKED_BYTES).T).tobytes()
         row = _deflate(frame)
         assert zlib.decompress(row) == packed
         assert len(row) <= len(zlib.compress(packed)) + 1
@@ -324,7 +324,7 @@ class TestDeflate:
     def test_episode_rows_as_small(self):
         exps = episodes([40])
         frames = [exps[0].state.frames[0]] + [e.next_state.frames[-1] for e in exps]
-        packed = [np.packbits(f.to_array().reshape(8, PACKED_BYTES).T).tobytes() for f in frames]
+        packed = [np.packbits(frame_bits(f).reshape(8, PACKED_BYTES).T).tobytes() for f in frames]
         rows = [_deflate(f) for f in frames]
         assert [zlib.decompress(r) for r in rows] == packed
         assert sum(map(len, rows)) <= sum(len(zlib.compress(p)) for p in packed) + len(rows) // 8
