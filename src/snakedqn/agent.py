@@ -13,14 +13,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import env
 from .checkpoint import CheckpointError, read_records, write_records
 from .nn import QNetwork, build_q_network, copy_weights, init_weights
 from .optim import AdamState, adam_step, clip_global_norm, zero_moments
 from .replay import Batch, ReplayBuffer
 
-N_ACTIONS = 4
-# The Q head's checkpoint records: the last axis of each has one entry per action.
-HEAD_RECORDS = ("online/dense3.w", "online/dense3.b")
+# The Q head has one output per move of the game.
+N_ACTIONS = len(env.ACTIONS)
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,16 @@ class AgentState:
     rng: np.random.Generator
 
 
-def new_agent(hp: Hyperparams, seed, n_actions: int = N_ACTIONS) -> AgentState:
-    """Fresh agent: seeded weights, target synced to online, Adam at step 0."""
+def new_agent(hp: Hyperparams, seed) -> AgentState:
+    """Fresh agent: seeded weights, target synced to online, Adam at step 0.
+
+    Both networks have ``N_ACTIONS`` outputs. ``hp`` is not read.
+    """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_ss, act_ss = ss.spawn(2)
-    online = build_q_network(n_actions)
+    online = build_q_network(N_ACTIONS)
     init_weights(online, np.random.Generator(np.random.PCG64(init_ss)))
-    target = build_q_network(n_actions)
+    target = build_q_network(N_ACTIONS)
     copy_weights(online, target)
     return AgentState(
         online=online,
@@ -99,11 +102,11 @@ def greedy_action(stack, net: QNetwork | None, rng: np.random.Generator,
                   epsilon: float) -> int:
     """Epsilon-soft action: random below epsilon, else argmax of eval Q-values.
 
-    Random actions range over the network's outputs, or over ``N_ACTIONS``
-    when ``net`` is None (a pure random policy, epsilon = 1).
+    A random action is uniform over the ``N_ACTIONS`` moves. ``net`` may be
+    None for a pure random policy (epsilon = 1).
     """
     if rng.random() < epsilon:
-        return int(rng.integers(0, N_ACTIONS if net is None else net.n_outputs))
+        return int(rng.integers(0, N_ACTIONS))
     q = net.forward(stack.to_input()[None], train=False)[0]
     return int(np.argmax(q))
 
@@ -203,18 +206,18 @@ def save_agent(path, agent: AgentState, hp: Hyperparams) -> None:
 
 def load_agent(path, hp: Hyperparams,
                rng: np.random.Generator | None = None) -> AgentState:
-    """Rebuild an agent from a checkpoint; a fresh rng is seeded unless given."""
+    """Rebuild an agent from a checkpoint; a fresh rng is seeded unless given.
+
+    The file must declare ``N_ACTIONS`` in ``meta/n_actions``; that is checked
+    before anything is built. Every array record must then match its live
+    array's shape and dtype, and both counters must be present. ``hp`` is
+    not read.
+    """
     records = read_records(path)
-    n_actions = _count_record(records, "meta/n_actions", 1, None)
-    # Check the head before building anything of that size: a file the CRC
-    # passes may still name an absurd action count.
-    for key in HEAD_RECORDS:
-        if key not in records:
-            raise CheckpointError(f"missing record {key}")
-        if records[key].shape[-1:] != (n_actions,):
-            raise CheckpointError(f"architecture mismatch at {key}: shape {records[key].shape} "
-                                  f"for meta/n_actions {n_actions}")
-    agent = new_agent(hp, seed=0, n_actions=n_actions)
+    n_actions = _count_record(records, "meta/n_actions", 1)
+    if n_actions != N_ACTIONS:
+        raise CheckpointError(f"meta/n_actions {n_actions}, but the game has {N_ACTIONS} moves")
+    agent = new_agent(hp, seed=0)
     if rng is not None:
         agent.rng = rng
     params = agent.online.params()
@@ -229,21 +232,15 @@ def load_agent(path, hp: Hyperparams,
         if stored.dtype != arr.dtype:  # copyto would cast it silently
             raise CheckpointError(f"dtype mismatch at {key}: {stored.dtype} vs {arr.dtype}")
         np.copyto(arr, stored)
-    agent.adam.t = _count_record(records, "adam/t", 0, 0)
-    agent.frame_count = _count_record(records, "frame_count", 0, 0)
+    agent.adam.t = _count_record(records, "adam/t", 0)
+    agent.frame_count = _count_record(records, "frame_count", 0)
     return agent
 
 
-def _count_record(records: dict[str, np.ndarray], key: str, minimum: int,
-                  default: int | None) -> int:
-    """Record ``key``, which must be one integer >= ``minimum``.
-
-    A file without the record reads as ``default``, or is corrupt when that is None.
-    """
+def _count_record(records: dict[str, np.ndarray], key: str, minimum: int) -> int:
+    """Record ``key``, which must be present and one integer >= ``minimum``."""
     if key not in records:
-        if default is None:
-            raise CheckpointError(f"missing record {key}")
-        return default
+        raise CheckpointError(f"missing record {key}")
     value = records[key]
     if value.ndim != 0 or value.dtype.kind not in "iu" or value < minimum:
         raise CheckpointError(f"{key} must be one integer >= {minimum}, got {value!r}")

@@ -86,25 +86,23 @@ def observe(state: game.EnvState):
 
 def run_episode(state: game.EnvState, agent: AgentState, buffer: ReplayBuffer,
                 hp: Hyperparams, episode: int,
-                frame_budget: int | None = None) -> EpisodeMetrics | None:
+                max_frames: int | None = None) -> EpisodeMetrics | None:
     """Play one episode with learning; returns its metrics row.
 
-    ``frame_budget`` caps how many frames this episode may consume; hitting
-    the cap abandons the episode mid-flight and returns None.
+    ``max_frames`` is the run's cap on ``agent.frame_count``; reaching it
+    abandons the episode mid-flight and returns None.
     """
     stack = stack_init(observe(state))
     cumulative = 0.0
     discounted = 0.0
     gamma_t = 1.0
     losses: list[float] = []
-    used = 0
     while not state.done:
-        if frame_budget is not None and used >= frame_budget:
+        if max_frames is not None and agent.frame_count >= max_frames:
             return None
         action = select_action(stack, agent, hp)
         state, outcome = game.step(state, game.ACTIONS[action])
         agent.frame_count += 1
-        used += 1
         next_stack = stack_push(stack, observe(state))
         buffer.push(Experience(stack, action, outcome.reward, next_stack,
                                outcome.terminal))
@@ -150,10 +148,7 @@ def train(config: TrainConfig) -> list[EpisodeMetrics]:
                 break
             seed_ep = int(env_seeder.integers(0, 2**63))
             state = game.reset(seed_ep, hp.max_step)
-            budget = None
-            if config.max_frames is not None:
-                budget = config.max_frames - agent.frame_count
-            row = run_episode(state, agent, buffer, hp, episode, frame_budget=budget)
+            row = run_episode(state, agent, buffer, hp, episode, config.max_frames)
             if row is None:
                 break
             metrics.append(row)
@@ -170,9 +165,9 @@ def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
              hp: Hyperparams | None = None) -> EvalResult:
     """Play greedy (or epsilon-soft) episodes without learning.
 
-    ``source`` may be an AgentState, a QNetwork, a checkpoint path, or None
-    for a pure random policy (requires epsilon = 1). Each episode is capped
-    at ``hp.max_step`` steps.
+    ``source`` may be a QNetwork, a checkpoint path, or None for a pure
+    random policy (requires epsilon = 1). Each episode is capped at
+    ``hp.max_step`` steps.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -180,9 +175,7 @@ def evaluate(source, episodes: int = 50, epsilon: float = 0.0, seed: int = 0,
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     hp = hp or Hyperparams()
     net = source
-    if isinstance(source, AgentState):
-        net = source.online
-    elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         net = load_agent(source, hp).online
     if net is None and epsilon < 1.0:
         raise ValueError("a network is required unless epsilon = 1")

@@ -532,7 +532,7 @@ class QNetwork:
         return self._walk(with_saved=False, prefix="d")
 
 
-def build_q_network(n_actions: int = 4, dtype=DEFAULT_DTYPE) -> QNetwork:
+def build_q_network(n_actions: int, dtype=DEFAULT_DTYPE) -> QNetwork:
     """The fixed production architecture: 84x84x4 in, one Q-value per action."""
     layers = [
         Conv2D(4, 32, kernel=8, stride=4, relu=True, dtype=dtype, pool=MaxPool2D()),

@@ -354,7 +354,7 @@ class TestEndToEnd:
                             forward(net, np.asarray(x, dtype=net.dtype), train))
         oracle = self.seeded_run(tmp_path, "oracle")
         # The oracle pool ran as conv1's pool and as both later pool layers.
-        net = nn.build_q_network()
+        net = nn.build_q_network(4)
         assert isinstance(net.layers[0].pool, OracleMaxPool2D)
         assert [type(layer) for layer in net.layers if layer.kind == "maxpool"] == [OracleMaxPool2D] * 2
         assert lean == oracle
@@ -423,7 +423,7 @@ class TestEvaluate:
         path = tmp_path / "agent.bin"
         save_agent(path, agent, HP)
         for seed in (0, 5):
-            live = harness.evaluate(agent, episodes=3, seed=seed, hp=self.CAPPED)
+            live = harness.evaluate(agent.online, episodes=3, seed=seed, hp=self.CAPPED)
             loaded = harness.evaluate(path, episodes=3, seed=seed, hp=self.CAPPED)
             assert live == loaded
             assert len(live.scores) == 3 and live.best == max(live.scores)

@@ -9,7 +9,7 @@ import pytest
 
 from snakedqn import agent as agent_module
 from snakedqn import checkpoint, harness
-from snakedqn.agent import HEAD_RECORDS, Hyperparams, load_agent, new_agent, save_agent
+from snakedqn.agent import Hyperparams, load_agent, new_agent, save_agent
 from snakedqn.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -184,9 +184,9 @@ class TestAgentRoundTrip:
     @pytest.mark.parametrize("n_actions", [2**40, 10**7, 5, 3])
     def test_n_actions_checked_against_head_before_building(self, tmp_path, monkeypatch,
                                                            n_actions):
-        # The CRC holds and n_actions is a valid count, but the head records
-        # are for 4 actions: loading must fail without building a network
-        # for n_actions (2**40 would ask for terabytes).
+        # The CRC holds and n_actions is a valid count, but not the game's 4
+        # moves: loading must fail without building a network for n_actions
+        # (2**40 would ask for terabytes).
         hp = Hyperparams()
         path = tmp_path / "agent.bin"
         save_agent(path, new_agent(hp, seed=0), hp)
@@ -199,14 +199,8 @@ class TestAgentRoundTrip:
             return build(n_actions, dtype=dtype)
 
         monkeypatch.setattr(agent_module, "build_q_network", only_four_actions)
-        with pytest.raises(CheckpointError, match="online/dense3.w"):
+        with pytest.raises(CheckpointError, match="meta/n_actions"):
             load_agent(path, hp)
-
-    def test_head_records_are_the_last_layer(self):
-        net = agent_module.build_q_network(7)
-        assert HEAD_RECORDS == tuple(f"online/{k}" for k in list(net.params())[-2:])
-        for key in HEAD_RECORDS:
-            assert net.params()[key.removeprefix("online/")].shape[-1] == 7
 
     def test_file_with_eps_frames_record_loads(self, tmp_path):
         # Older files end with an ``eps_frames`` record; loading ignores it.

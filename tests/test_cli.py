@@ -201,6 +201,40 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
         assert f"error: {key} must be one integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["adam/t", "frame_count"])
+    def test_eval_missing_counter_record(self, tmp_path, capsys, key):
+        # An intact file without a counter exits 3: reading it as 0 would
+        # restart the exploration schedule at epsilon 1.
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        records = read_records(path)
+        del records[key]
+        write_records(path, records)
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert f"error: missing record {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_actions", [5, 3])
+    def test_eval_other_action_count(self, tmp_path, capsys, n_actions):
+        # An intact, self-consistent file for another action count: each
+        # network's head and its Adam moments have n_actions columns. The
+        # game has 4 moves, so it exits 3 rather than play a fifth move it
+        # lacks or never play the fourth.
+        path = tmp_path / "agent.bin"
+        hp = Hyperparams()
+        save_agent(path, new_agent(hp, seed=0), hp)
+        records = read_records(path)
+        for group in ("online/", "target/", "adam/m/", "adam/v/"):
+            for name in ("dense3.w", "dense3.b"):
+                head = records[group + name]
+                records[group + name] = np.ascontiguousarray(
+                    np.concatenate([head, head], axis=-1)[..., :n_actions])
+        records["online/dense3.b"][4:] = 100.0  # a fifth move would be the greedy one
+        records["meta/n_actions"] = np.int64(n_actions)
+        write_records(path, records)
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == EXIT_CORRUPT
+        assert f"meta/n_actions {n_actions}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("online/dense3.w", np.full((512, 4), 1e300)),
         ("online/conv1.w", np.ones((8, 8, 4, 32), dtype=np.uint8)),
