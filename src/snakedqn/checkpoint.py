@@ -62,7 +62,7 @@ def write_records(path, records: dict[str, np.ndarray]) -> None:
     any other is copied one record at a time, and the CRC is updated piece by
     piece.
     """
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = f"{os.fsdecode(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)

@@ -40,7 +40,7 @@ class TrainConfig:
     metrics_path: str = "metrics.csv"
     checkpoint_path: str = "checkpoint.bin"
     checkpoint_every: int = 1_000
-    max_frames: int | None = None  # optional global frame cap, mainly for tests
+    max_frames: int | None = None  # frame cap: a config key and the benchmark's run length
     resume_from: str | None = None
 
     def __post_init__(self):

@@ -413,6 +413,28 @@ class TestEndToEnd:
         floats = [a for a in records.values() if a.dtype.kind == "f"]
         assert len(floats) > 70 and all(np.isfinite(a).all() for a in floats)
 
+    def test_resume_from_continues_the_counters(self, tmp_path):
+        """A resumed run starts from the checkpoint's frame count, epsilon and
+        Adam step count. Its replay starts empty, so its updates wait for a
+        batch."""
+        hp = Hyperparams(random_frames=64, eps_greedy_frames=192, target_sync_every=64)
+
+        def run(tag, max_frames, resume_from=None):
+            config = harness.TrainConfig(
+                hp=hp, episodes=1_000, seed=11, max_frames=max_frames,
+                metrics_path=str(tmp_path / f"{tag}.csv"),
+                checkpoint_path=str(tmp_path / f"{tag}.bin"), resume_from=resume_from)
+            return harness.train(config), read_records(tmp_path / f"{tag}.bin")
+
+        _, first = run("first", 200)
+        # Updates at frames 64, 68, ..., 200.
+        assert int(first["frame_count"]) == 200 and int(first["adam/t"]) == 35
+        rows, resumed = run("resumed", 400, resume_from=str(tmp_path / "first.bin"))
+        assert rows[0].frames_total == 210
+        assert rows[0].epsilon == epsilon_at(210, hp)
+        # The empty replay holds a batch from frame 232 on: updates at 232, ..., 400.
+        assert int(resumed["frame_count"]) == 400 and int(resumed["adam/t"]) == 35 + 43
+
 
 class TestEvaluate:
     # Greedy play of an untrained net may circle: cap each episode's steps.

@@ -1,5 +1,6 @@
 """Checkpoint container format and agent save/load round-trips."""
 
+import os
 import struct
 import tracemalloc
 import zlib
@@ -234,6 +235,19 @@ class TestAgentRoundTrip:
             tracemalloc.stop()
         assert path.stat().st_size > 7_000_000
         assert peak < 1_000_000
+
+    def test_bytes_path_round_trips(self, tmp_path):
+        """A bytes path names the same file to save_agent as to load_agent."""
+        hp = Hyperparams()
+        agent = new_agent(hp, seed=6)
+        agent.frame_count = 42
+        path = os.fsencode(tmp_path / "agent.bin")
+        save_agent(path, agent, hp)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["agent.bin"]
+        loaded = load_agent(path, hp)
+        assert loaded.frame_count == 42
+        for name, arr in agent.online.state_arrays().items():
+            assert np.array_equal(arr, loaded.online.state_arrays()[name]), name
 
     def test_eval_forward_identical_after_reload(self, tmp_path):
         hp = Hyperparams()
