@@ -1,7 +1,7 @@
 """Frame preprocessing: RGB -> 84x84 single-bit pixels -> frame stacks.
 
-A frame is the 882 bytes that hold its 84x84 bits, packed bit-planar as
-below. :func:`binary_observation` maps the board's rendered
+A frame is the 882 bytes that hold its 84x84 bits, packed row-major, most
+significant bit first. :func:`binary_observation` maps the board's rendered
 ``(252, 252, 3)`` uint8 frame to one in an exact integer pass. A bit is set
 iff the mean BT.601 luma of its 3x3 block, ``(299 R + 587 G + 114 B) /
 1000``, is strictly above 127.5, that is iff the block's integer luma sum
@@ -11,12 +11,6 @@ is an integer below ``255000 * 9 < 2^24``, so float32 holds it exactly
 whatever order BLAS adds in. The float64 grayscale -> block mean ->
 threshold chain this replaced lives on in ``tests/preprocess_oracle.py`` as
 the test oracle, next to an int64 oracle of the definition above.
-
-Byte ``b`` of a frame holds pixels ``b``, ``b + 882``, ..., ``b + 7 * 882``
-of the row-major bits, most significant bit first, which deflates smaller
-than row-major packing. The one decoder, :func:`stack_bits`, reads the four
-channels' byte ``b`` as one 32-bit word and shifts it by each bit position,
-which gives eight pixels' four channel bytes at once, in pixel order.
 """
 
 from __future__ import annotations
@@ -39,9 +33,6 @@ _BLOCK = FRAME_PX // FRAME_SIDE  # the side of the pixel block behind each bit
 _ROW_WEIGHTS = np.tile(LUMA_WEIGHTS, _BLOCK).astype(np.float32)
 _ROW_WEIGHTS.flags.writeable = False
 _LUMA_LIMIT = 1000 * BINARIZE_THRESHOLD * _BLOCK * _BLOCK
-# Shift that brings bit plane k (MSB first) of every byte to bit 0.
-_PLANE_SHIFTS = np.arange(7, -1, -1, dtype=np.uint32)[:, None]
-_LOW_BITS = np.uint32(0x01010101)
 
 
 def binary_observation(rgb_frame: np.ndarray) -> bytes:
@@ -56,22 +47,12 @@ def binary_observation(rgb_frame: np.ndarray) -> bytes:
         raise ValueError(f"expected uint8 RGB, got {rgb_frame.dtype}")
     rows = rgb_frame.reshape(FRAME_SIDE, _BLOCK, FRAME_PX * 3).sum(axis=1, dtype=np.uint16)
     luma = rows.reshape(FRAME_PIXELS, 3 * _BLOCK) @ _ROW_WEIGHTS
-    return np.packbits(luma.reshape(8, PACKED_BYTES).T > _LUMA_LIMIT).tobytes()
+    return np.packbits(luma > _LUMA_LIMIT).tobytes()
 
 
-def stack_bits(packed: np.ndarray) -> np.ndarray:
-    """``(n, 4, 882)`` uint8 frames -> ``(n, 84, 84, 4)`` uint8 bits, channels-last."""
-    n = len(packed)
-    # Channel c lands in bits 8c..8c+7 of each word, built in place.
-    words = packed[:, 3].astype(np.uint32)
-    for channel in (2, 1, 0):
-        words <<= 8
-        words |= packed[:, channel]
-    bits = words[:, None, :] >> _PLANE_SHIFTS
-    bits &= _LOW_BITS
-    # Byte c of each word is channel c: little-endian order puts it at offset c.
-    bits = bits.astype("<u4", copy=False).view(np.uint8)
-    return bits.reshape(n, FRAME_SIDE, FRAME_SIDE, STACK_DEPTH)
+def frame_bits(frame: bytes) -> np.ndarray:
+    """A frame's (84, 84) uint8 0/1 bits."""
+    return np.unpackbits(np.frombuffer(frame, dtype=np.uint8)).reshape(FRAME_SIDE, FRAME_SIDE)
 
 
 @dataclass(frozen=True)
@@ -81,13 +62,12 @@ class FrameStack:
     frames: tuple[bytes, ...]
 
     def __post_init__(self):
-        if list(map(len, self.frames)) != [PACKED_BYTES] * STACK_DEPTH:
-            raise ValueError(f"a stack holds {STACK_DEPTH} frames of {PACKED_BYTES} bytes each")
+        if len(self.frames) != STACK_DEPTH:
+            raise ValueError(f"stack must hold {STACK_DEPTH} frames")
 
     def to_input(self) -> np.ndarray:
         """(84, 84, 4) uint8 tensor of 0/1 values, frames stacked channels-last."""
-        packed = np.frombuffer(b"".join(self.frames), dtype=np.uint8)
-        return stack_bits(packed.reshape(1, STACK_DEPTH, PACKED_BYTES))[0]
+        return np.stack([frame_bits(f) for f in self.frames], axis=-1)
 
 
 def stack_init(first: bytes) -> FrameStack:

@@ -17,8 +17,11 @@ in a list while the rows it has not reached yet stay in its old ``bytes``.
 When a write moves on to another segment, or wraps round to the first row
 of a one-segment ring, the list is joined into the segment's new ``bytes``.
 
-``sample`` inflates each sampled row's frames and decodes them with
-``preprocess.stack_bits``, next to the definition of the frame layout.
+``sample`` assembles channels-last batch arrays straight from the ring. The
+ring packs its frames bit-planar: byte ``b`` holds pixels ``b``,
+``b + 882``, ..., ``b + 7 * 882``. Then the four channels' byte ``b``, read
+as one 32-bit word and shifted by each bit position, gives eight pixels'
+four channel bytes at once, written in pixel order.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import PACKED_BYTES, STACK_DEPTH, FrameStack, stack_bits
+from .preprocess import FRAME_SIDE, PACKED_BYTES, STACK_DEPTH, FrameStack, frame_bits
 
 # A sampled row decodes its state's frames plus its next frame.
 _WINDOW = STACK_DEPTH + 1
+# Shift that brings bit plane k (MSB first) of every byte to bit 0.
+_PLANE_SHIFTS = np.arange(7, -1, -1, dtype=np.uint32)[:, None]
+_LOW_BITS = np.uint32(0x01010101)
 # Deflate parameters for one 882-byte frame. zlib's defaults (a 32 KiB
 # window, memLevel 8) give each compressor about 256 KiB of state, allocated
 # and freed on every push, and where the allocator placed it decided whether
@@ -194,11 +200,11 @@ class ReplayBuffer:
         window = np.frombuffer(packed, dtype=np.uint8).reshape(batch, _WINDOW, PACKED_BYTES)
         terminal = self._terminal[slots]
         return Batch(
-            states=stack_bits(window[:, :STACK_DEPTH]),
+            states=_unpack(window[:, :STACK_DEPTH]),
             actions=self._action[slots],
             rewards=self._reward[slots],
             terminal=terminal,
-            next_states=stack_bits(window[~terminal, 1:]),
+            next_states=_unpack(window[~terminal, 1:]),
         )
 
     @property
@@ -211,7 +217,23 @@ class ReplayBuffer:
 
 
 def _deflate(frame: bytes) -> bytes:
-    """The ring's row for ``frame``: the frame deflated."""
+    """The ring's row for ``frame``: its bits packed bit-planar, then deflated."""
+    planes = frame_bits(frame).reshape(8, PACKED_BYTES)
     deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED,
                                 _DEFLATE_WBITS, _DEFLATE_MEM_LEVEL)
-    return deflater.compress(frame) + deflater.flush()
+    return deflater.compress(np.packbits(planes.T).tobytes()) + deflater.flush()
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """``(n, 4, 882)`` bit-planar frames -> ``(n, 84, 84, 4)`` uint8 bits, channels-last."""
+    n = len(packed)
+    # Channel c lands in bits 8c..8c+7 of each word, built in place.
+    words = packed[:, 3].astype(np.uint32)
+    for channel in (2, 1, 0):
+        words <<= 8
+        words |= packed[:, channel]
+    bits = words[:, None, :] >> _PLANE_SHIFTS
+    bits &= _LOW_BITS
+    # Byte c of each word is channel c: little-endian order puts it at offset c.
+    bits = bits.astype("<u4", copy=False).view(np.uint8)
+    return bits.reshape(n, FRAME_SIDE, FRAME_SIDE, STACK_DEPTH)

@@ -9,32 +9,21 @@ definition in int64: a bit is set iff the block's luma sum
 The two oracles agree except on blocks whose luma sum equals the threshold
 exactly: there the chain's mean is 127.5 give or take a rounding error,
 and it can read as just above 127.5. Rendered game frames hold only 0 and
-255, so no such block occurs in them.
-
-``pack_frame`` packs test bits into a frame, the 882 bit-planar bytes
-``binary_observation`` returns, and ``frame_bits`` reads a frame's bits
-back with ``np.unpackbits`` and a transpose, independently of the
-package's decoder.
+255, so no such block occurs in them. ``pack_frame`` packs test bits into a
+frame, the 882 bytes ``binary_observation`` returns.
 """
 
 import numpy as np
 
-from snakedqn.preprocess import BINARIZE_THRESHOLD, FRAME_SIDE, LUMA_WEIGHTS, PACKED_BYTES
+from snakedqn.preprocess import BINARIZE_THRESHOLD, FRAME_SIDE, LUMA_WEIGHTS
 
 
 def pack_frame(bits) -> bytes:
-    """(84, 84) 0/1 or bool bits as the frame ``binary_observation`` returns:
-    byte ``b`` holds row-major pixels ``b, b + 882, ..., b + 7 * 882``."""
+    """(84, 84) 0/1 or bool bits as the frame ``binary_observation`` returns."""
     bits = np.asarray(bits)
     if bits.shape != (FRAME_SIDE, FRAME_SIDE):
         raise ValueError(f"expected {FRAME_SIDE}x{FRAME_SIDE} bits, got {bits.shape}")
-    return np.packbits(bits.reshape(8, PACKED_BYTES).T).tobytes()
-
-
-def frame_bits(frame: bytes) -> np.ndarray:
-    """A frame's (84, 84) uint8 0/1 bits, row-major."""
-    bits = np.unpackbits(np.frombuffer(frame, dtype=np.uint8)).reshape(PACKED_BYTES, 8)
-    return bits.T.reshape(FRAME_SIDE, FRAME_SIDE)
+    return np.packbits(bits).tobytes()
 
 
 def to_grayscale(frame: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from snakedqn.preprocess import FRAME_SIDE, STACK_DEPTH, stack_init, stack_push
 from snakedqn.replay import Batch, Experience
 
-from preprocess_oracle import frame_bits, pack_frame
+from preprocess_oracle import pack_frame
 
 
 class ListReplayBuffer:
@@ -58,11 +58,11 @@ class ListReplayBuffer:
 
 
 def _batch_inputs(stacks, dtype) -> np.ndarray:
-    """(n, 84, 84, 4) batch of the stacks' bits, each frame read by the oracle."""
-    out = np.empty((len(stacks), FRAME_SIDE, FRAME_SIDE, STACK_DEPTH), dtype=dtype)
-    for row, stack in zip(out, stacks):
-        row[...] = np.stack([frame_bits(frame) for frame in stack.frames], axis=-1)
-    return out
+    """(n, 84, 84, 4) batch of ``FrameStack.to_input`` values, unpacked in one pass."""
+    packed = b"".join(frame for stack in stacks for frame in stack.frames)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+    bits = bits.reshape(len(stacks), STACK_DEPTH, FRAME_SIDE, FRAME_SIDE)
+    return bits.transpose(0, 2, 3, 1).astype(dtype, order="C")
 
 
 def oracle_batch(experiences) -> Batch:

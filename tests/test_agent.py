@@ -430,6 +430,7 @@ class TestEndToEnd:
         # Updates at frames 64, 68, ..., 200.
         assert int(first["frame_count"]) == 200 and int(first["adam/t"]) == 35
         rows, resumed = run("resumed", 400, resume_from=str(tmp_path / "first.bin"))
+        # Frame 200 plus the first resumed episode's 10 frames (seed 11).
         assert rows[0].frames_total == 210
         assert rows[0].epsilon == epsilon_at(210, hp)
         # The empty replay holds a batch from frame 232 on: updates at 232, ..., 400.
